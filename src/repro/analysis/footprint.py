@@ -52,7 +52,7 @@ def flashfft_footprint_bytes(
     real_io = 2 * 8 * n
     aux = 16 * (
         sum(d * d for d in plan.executor.transform_dims)
-        + int(np.prod(plan.local_shape))
+        + int(np.prod(plan.gpu_segments.local_shape))
     )
     return real_io + aux
 

@@ -92,7 +92,9 @@ class DRStencil(StencilMethod):
         elif isinstance(tile, int):
             tile = (min(tile, s) for s in grid.shape)
             tile = tuple(tile)
-        plan = SegmentPlan(grid.shape, kernel, t, tile, boundary)
+        # Windows advance by direct local steps, not a circular FFT, so
+        # they need the halo even on an axis one tile spans end to end.
+        plan = SegmentPlan(grid.shape, kernel, t, tile, boundary, full_halo=True)
         windows = plan.split(grid)
         for _ in range(t):
             windows = _batched_local_step(windows, kernel)

@@ -3,8 +3,11 @@
 :class:`FlashFFTStencil` is the library's main entry point.  Construction
 builds the whole pipeline of Figure 1 for a given grid/kernel/fusion depth:
 
-1. **Kernel Tailoring** — Eq.-(5) auto-tuning picks the segment length; a
-   :class:`repro.core.tailoring.SegmentPlan` owns split/fuse/stitch.
+1. **Kernel Tailoring** — a :class:`repro.core.tailoring.SegmentPlan` owns
+   split/fuse/stitch.  The host runs the windows :func:`default_tile`
+   picks: Eq.-(5) tiles for 1-D and zero-boundary plans, halo-free slabs
+   for periodic multi-dimensional ones.  The GPU model (TCU emulation,
+   :meth:`FlashFFTStencil.measure`) always uses the Eq.-(5) windows.
 2. **Architecture Aligning** — 1-D segments get a Prime-Factor plan with
    Diagonal Data Indexing; multi-dimensional windows are already
    matrix-shaped; Double-layer Filling packs segment pairs.
@@ -63,6 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "FlashFFTStencil",
     "FlashFFTMeasurement",
+    "default_tile",
+    "eq5_tile",
+    "geometry_rule",
+    "host_slabs",
     "plan_cache_info",
     "plan_cache_clear",
     "plan_key",
@@ -84,6 +91,106 @@ def resident_default() -> bool:
     variable instead of silently disabling the switch.
     """
     return env_flag(_RESIDENT_ENV)
+
+
+# --------------------------------------------------------------------------
+# Window geometry
+#
+# Eq. (5) sizes each overlap-save window to one SM's shared memory.  That
+# is the GPU's constraint, not the host's: on a CPU a periodic axis that
+# one tile spans end to end needs no halo at all (the circular FFT wraps
+# exactly, see SegmentPlan.halo).  So periodic multi-dimensional plans
+# run *host windows* — axis 0 cut into one slab per shard worker, every
+# other axis whole — while 1-D and zero-boundary plans keep Eq. (5).
+
+#: A host slab is at least this many axis-0 halos long; shorter slabs
+#: would transform more halo than the extra worker wins back.
+MIN_SLAB_HALOS = 8
+
+
+def _uses_host_slabs(kernel: StencilKernel, boundary: Boundary) -> bool:
+    return boundary == "periodic" and kernel.ndim > 1
+
+
+def host_slabs(
+    grid_shape: tuple[int, ...], kernel: StencilKernel, fused_steps: int
+) -> int:
+    """Axis-0 slab count of a host-window plan.
+
+    The worker count resolves first — :func:`choose_workers` over the
+    grid's points with no explicit request, so ``$REPRO_WORKERS`` or the
+    visible CPUs — then one slab per worker, fewer where a slab would be
+    shorter than ``MIN_SLAB_HALOS`` axis-0 halos.  An explicit
+    ``workers=`` on the plan sets how many threads run the slabs, never
+    how many there are, so every worker count returns the same bits.
+    """
+    workers = choose_workers(int(np.prod(grid_shape)))
+    halo0 = int(fused_steps) * kernel.radius[0]
+    fit = grid_shape[0] // (MIN_SLAB_HALOS * halo0) if halo0 else grid_shape[0]
+    return max(1, min(workers, fit))
+
+
+def eq5_tile(
+    grid_shape: tuple[int, ...],
+    kernel: StencilKernel,
+    fused_steps: int,
+    gpu: GPUSpec,
+    precision: str,
+) -> tuple[tuple[int, ...], TunedSegment | None]:
+    """The Eq.-(5) valid tile (clipped to the grid), plus the 1-D record.
+
+    1-D: the Eq.-(5) segment length, shrunk until the window keeps a
+    co-prime (PFA) factorisation for the TCU path.  Multi-dimensional:
+    one fat block per SM (Eq. (5) with p = 1) — slice windows stream, so
+    capacity beats block-level co-residency.
+    """
+    if kernel.ndim == 1:
+        from .pfa import coprime_splits
+
+        tuned = choose_segment_length(kernel, fused_steps, gpu, precision=precision)
+        halo = fused_steps * kernel.max_radius
+        s = min(tuned.valid, grid_shape[0])
+        while s > 1 and not coprime_splits(s + 2 * halo):
+            s -= 1
+        return (s,), tuned
+    auto = choose_tile_shape(
+        kernel, fused_steps, gpu, blocks_per_sm=1, precision=precision
+    )
+    return tuple(min(t, g) for t, g in zip(auto, grid_shape)), None
+
+
+def default_tile(
+    grid_shape: tuple[int, ...],
+    kernel: StencilKernel,
+    fused_steps: int,
+    boundary: Boundary,
+    gpu: GPUSpec,
+    precision: str,
+) -> tuple[tuple[int, ...], TunedSegment | None]:
+    """The valid tile a ``tile=None`` plan runs on this host.
+
+    Periodic multi-dimensional plans: :func:`host_slabs` slabs along axis
+    0, whole extent on every other axis (so their halo is 0 there).
+    Everything else: :func:`eq5_tile`.  The plan, the tuner's cost model
+    and the disk plan cache all resolve geometry through this one rule.
+    """
+    if _uses_host_slabs(kernel, boundary):
+        slabs = host_slabs(grid_shape, kernel, fused_steps)
+        return (-(-grid_shape[0] // slabs),) + tuple(grid_shape[1:]), None
+    return eq5_tile(grid_shape, kernel, fused_steps, gpu, precision)
+
+
+def geometry_rule(
+    grid_shape: tuple[int, ...],
+    kernel: StencilKernel,
+    fused_steps: int,
+    boundary: Boundary,
+) -> str:
+    """Cache-key tag of the rule that cuts a ``tile=None`` plan's windows:
+    ``"host-slabs:<n>"`` (with the resolved slab count) or ``"eq5"``."""
+    if _uses_host_slabs(kernel, boundary):
+        return f"host-slabs:{host_slabs(grid_shape, kernel, fused_steps)}"
+    return "eq5"
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +235,15 @@ def plan_key(
     so two worker configurations of one provider may safely share a plan.
     ``precision`` is part of the key — a float32 plan carries complex64
     spectra and float32 workspaces, so the tiers can never share an entry.
+    A ``tile=None`` key also carries :func:`geometry_rule`: host-window
+    geometry follows the visible CPUs and ``$REPRO_WORKERS``, so a change
+    of either must not return a plan cut for the old slab count.
     """
+    geometry = (
+        geometry_rule(grid_shape, kernel, fused_steps, boundary)
+        if tile is None
+        else None
+    )
     return (
         grid_shape,
         kernel,
@@ -140,6 +255,7 @@ def plan_key(
         backend_name,
         workers,
         precision,
+        geometry,
     )
 
 
@@ -292,11 +408,15 @@ class FlashFFTStencil:
     boundary:
         ``"periodic"`` or ``"zero"``.
     gpu:
-        Hardware model used for auto-tuning and cost prediction.
+        Hardware model of the Eq.-(5) windows: the TCU emulation,
+        :meth:`measure`, and the tiles of 1-D and zero-boundary plans.
     config:
         §3.3 technique switches (all on by default).
     tile:
-        Override the auto-tuned valid-tile shape ``S`` (per-axis ints).
+        Override the valid-tile shape ``S`` (per-axis ints).  ``None``
+        takes :func:`default_tile`: Eq.-(5) tiles for 1-D and
+        zero-boundary plans, one axis-0 slab per shard worker (and whole
+        extent elsewhere) for periodic multi-dimensional plans.
     backend:
         FFT provider: an :class:`~repro.parallel.backends.FFTBackend`, a
         registry name (``"numpy"``, ``"scipy"``, ``"scipy:4"``), or
@@ -304,10 +424,11 @@ class FlashFFTStencil:
         ``numpy``.  All providers agree to ≤1e-12 max-abs.
     workers:
         Sharded-execution worker count.  ``None`` autotunes from the
-        plan's segment count and the visible CPUs (``$REPRO_WORKERS``
+        plan's window points and the visible CPUs (``$REPRO_WORKERS``
         overrides); ``1`` forces the serial path; ``N > 1`` runs
-        split→fuse→stitch shards on a thread pool — bit-identical to
-        serial, since overlap-save windows are independent (§3.1).
+        split→fuse→stitch shards on a thread pool (at most one per
+        axis-0 tile) — bit-identical to serial, since overlap-save
+        windows are independent (§3.1).
     arena:
         When ``True`` (default), steady-state applications gather into a
         pooled :class:`~repro.parallel.arena.WorkspaceArena`, eliminating
@@ -348,30 +469,9 @@ class FlashFFTStencil:
         user_tile = tile
 
         if tile is None:
-            if kernel.ndim == 1:
-                self.tuned = choose_segment_length(
-                    kernel, self.fused_steps, gpu, precision=self.precision
-                )
-                halo = self.fused_steps * kernel.max_radius
-                s = min(self.tuned.valid, grid_shape[0])
-                # keep the window length PFA-factorisable for the TCU path
-                from .pfa import coprime_splits
-
-                while s > 1 and not coprime_splits(s + 2 * halo):
-                    s -= 1
-                tile = (s,)
-            else:
-                # Multi-dimensional plans run one fat block per SM (Eq. (5)
-                # with p = 1): slice windows stream, so capacity beats
-                # block-level co-residency here.
-                auto = choose_tile_shape(
-                    kernel,
-                    self.fused_steps,
-                    gpu,
-                    blocks_per_sm=1,
-                    precision=self.precision,
-                )
-                tile = tuple(min(t, g) for t, g in zip(auto, grid_shape))
+            tile, self.tuned = default_tile(
+                grid_shape, kernel, self.fused_steps, boundary, gpu, self.precision
+            )
         elif isinstance(tile, (int, np.integer)):
             tile = (int(tile),) * kernel.ndim
         else:
@@ -386,13 +486,6 @@ class FlashFFTStencil:
         self.segments = SegmentPlan(
             grid_shape, kernel, self.fused_steps, tile, boundary, self.precision
         )
-        pfa_split = None
-        if self.tuned is not None and self.segments.local_shape == (
-            self.tuned.length,
-        ):
-            pfa_split = self.tuned.pfa_split
-        self._executor: TCUStencilExecutor | None = None
-        self._pfa_split = pfa_split
         self._last_result: StreamlineResult | None = None
         #: True for plans owned by the module-level cache: those are shared
         #: across callers and must stay immutable after construction.
@@ -478,13 +571,14 @@ class FlashFFTStencil:
         """Export hook for the persistent plan cache: the re-planning work.
 
         Returns the products a fresh process would otherwise re-derive
-        when constructing this plan — the auto-tuned valid tile (Eq. (5)
-        search plus, in 1-D, the PFA-factorisable shrink loop) and the
-        window-local fused spectrum ``H_L ** steps`` (an FFT plus a
-        complex power).  :meth:`repro.serving.plancache.PlanDiskCache.put`
-        persists them; importing goes through
-        :func:`repro.core.kernels.spectrum_cache_seed` plus an explicit
-        ``tile=`` override at construction.
+        when constructing this plan — the resolved valid tile (for
+        Eq.-(5) geometry the tile search plus, in 1-D, the
+        PFA-factorisable shrink loop) and the window-local fused spectrum
+        ``H_L ** steps`` (an FFT plus a complex power).
+        :meth:`repro.serving.plancache.PlanDiskCache.put` persists them;
+        importing goes through :func:`repro.core.kernels.spectrum_cache_seed`
+        plus, for Eq.-(5) geometry, an explicit ``tile=`` override at
+        construction.
         """
         return {
             "tile": tuple(self.segments.valid_shape),
@@ -495,10 +589,40 @@ class FlashFFTStencil:
         }
 
     @cached_property
+    def gpu_segments(self) -> SegmentPlan:
+        """The Eq.-(5) windows of the GPU model, with the full halo.
+
+        The TCU emulation, :meth:`measure` and :meth:`paper_scale_cost`
+        run on these, so paper-reproduction numbers do not depend on the
+        host windows :attr:`segments` holds.  An explicit ``tile`` is the
+        GPU tile as given; ``tile=None`` re-derives :func:`eq5_tile`.
+        Shares :attr:`segments` when the two geometries coincide.
+        """
+        if self._tile_override is not None or not _uses_host_slabs(
+            self.kernel, self.boundary
+        ):
+            tile = self.segments.valid_shape
+        else:
+            tile, _ = eq5_tile(
+                self.grid_shape, self.kernel, self.fused_steps, self.gpu,
+                self.precision,
+            )
+        gpu = SegmentPlan(
+            self.grid_shape, self.kernel, self.fused_steps, tile,
+            self.boundary, self.precision, full_halo=True,
+        )
+        if gpu.local_shape == self.local_shape and tile == self.segments.valid_shape:
+            return self.segments
+        return gpu
+
+    @cached_property
     def effective_workers(self) -> int:
-        """The resolved shard-worker count (autotuned when not requested)."""
-        return choose_workers(
-            self.segments.total_segments, self._workers_requested
+        """The resolved shard-worker count: autotuned from the window
+        points when not requested, at most one per axis-0 tile."""
+        seg = self.segments
+        return min(
+            choose_workers(seg.window_points, self._workers_requested),
+            seg.num_segments[0],
         )
 
     @cached_property
@@ -543,19 +667,23 @@ class FlashFFTStencil:
                 f"fragment pipeline is double-precision only, plan is "
                 f"{self.precision}"
             )
-        if len(self.local_shape) == 1:
+        seg = self.gpu_segments
+        pfa_split = None
+        if self.tuned is not None and seg.local_shape == (self.tuned.length,):
+            pfa_split = self.tuned.pfa_split
+        if len(seg.local_shape) == 1:
             from .pfa import coprime_splits
 
-            if self._pfa_split is None and not coprime_splits(self.local_shape[0]):
+            if pfa_split is None and not coprime_splits(seg.local_shape[0]):
                 raise PlanError(
-                    f"window length {self.local_shape[0]} has no co-prime "
+                    f"window length {seg.local_shape[0]} has no co-prime "
                     "factorisation; pick a different tile"
                 )
         return TCUStencilExecutor(
-            self.local_shape,
-            self.segments.fused_spectrum(),
+            seg.local_shape,
+            seg.fused_spectrum(),
             self.config,
-            pfa_split=self._pfa_split,
+            pfa_split=pfa_split,
         )
 
     # ------------------------------------------------------------- execution
@@ -678,7 +806,10 @@ class FlashFFTStencil:
             grid = injector.visit("input", grid, apply_index, tel)
         if guarded and guards.check_inputs:
             grid = check_array(grid, "grid", guards, tel)
-        arena = self._arena_acquire()
+        # The emulated TCU runs the GPU model's Eq.-(5) windows; the arena
+        # is sized for the host windows, so it only serves those.
+        seg = self.gpu_segments if emulate_tcu else self.segments
+        arena = self._arena_acquire() if seg is self.segments else None
         try:
             result = None
             sharded = (
@@ -694,7 +825,7 @@ class FlashFFTStencil:
                 )
             else:
                 with tel.span("split"):
-                    windows = self.segments.split(
+                    windows = seg.split(
                         grid,
                         out=arena.windows if arena is not None else None,
                         scratch=arena.padded if arena is not None else None,
@@ -709,7 +840,7 @@ class FlashFFTStencil:
                     fused = result.output
                 else:
                     with tel.span("fuse"):
-                        fused = self.segments.fuse(windows, backend=self._backend)
+                        fused = seg.fuse(windows, backend=self._backend)
                     if tel.enabled:
                         tel.count("fft_batches", 1)
                 if injector is not None:
@@ -717,14 +848,14 @@ class FlashFFTStencil:
                 if guarded and guards.check_stages:
                     fused = check_array(fused, "fused windows", guards, tel)
                 with tel.span("stitch"):
-                    out = self.segments.stitch(fused, out=out)
+                    out = seg.stitch(fused, out=out)
         finally:
             self._arena_release(arena)
         if injector is not None:
             out = injector.visit("stitch", out, apply_index, tel)
         if tel.enabled:
             tel.count("applications", 1)
-            tel.count("windows", self.segments.total_segments)
+            tel.count("windows", seg.total_segments)
             tel.count("points_stitched", int(np.prod(self.grid_shape)))
         if self.boundary == "zero" and self.fused_steps > 1:
             with tel.span("boundary_fix"):
@@ -1517,7 +1648,8 @@ class FlashFFTStencil:
     # ------------------------------------------------------------- modelling
 
     def measure(self, sample_segments: int = 4) -> FlashFFTMeasurement:
-        """Run a small emulated sample and derive per-point coefficients.
+        """Run a small emulated sample of the Eq.-(5) windows
+        (:attr:`gpu_segments`) and derive per-point coefficients.
 
         The flop coefficient comes from actual MMA counts; the byte
         coefficient is the overlap-save traffic model: every output point is
@@ -1526,15 +1658,16 @@ class FlashFFTStencil:
         """
         if sample_segments < 1:
             raise PlanError("need at least one sample segment")
+        seg = self.gpu_segments
         rng = np.random.default_rng(7)
-        windows = rng.standard_normal((sample_segments,) + self.local_shape)
+        windows = rng.standard_normal((sample_segments,) + seg.local_shape)
         result = self.executor.run(windows)
 
-        points_covered = sample_segments * int(np.prod(self.segments.valid_shape))
+        points_covered = sample_segments * int(np.prod(seg.valid_shape))
         flops_per_point = result.total_flops / points_covered
 
-        l = int(np.prod(self.local_shape))
-        s = int(np.prod(self.segments.valid_shape))
+        l = int(np.prod(seg.local_shape))
+        s = int(np.prod(seg.valid_shape))
         read_amplification = l / s
         aux_bytes_per_point = 16.0 * sum(
             n * n for n in self.executor.transform_dims

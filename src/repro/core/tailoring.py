@@ -72,6 +72,11 @@ class SegmentPlan:
         ``"float32"`` (grids travel as float32, spectra as complex64).
         Stored as a string so the frozen plan stays hashable and cache
         keys/serialised artifacts carry the tier by name.
+    full_halo:
+        Keep the fused halo on every axis, as the Eq. (5) GPU windows do
+        (each sized to one SM's shared memory).  ``False`` (host windows,
+        the default) drops the halo on a periodic axis the tile spans end
+        to end — see :attr:`halo`.
     """
 
     grid_shape: tuple[int, ...]
@@ -80,6 +85,7 @@ class SegmentPlan:
     valid_shape: tuple[int, ...]
     boundary: Boundary = "periodic"
     precision: str = "float64"
+    full_halo: bool = False
 
     def __post_init__(self) -> None:
         gs = tuple(int(s) for s in self.grid_shape)
@@ -114,8 +120,21 @@ class SegmentPlan:
 
     @cached_property
     def halo(self) -> tuple[int, ...]:
-        """Per-axis halo ``R = steps * radius`` — the fused dependency reach."""
-        return tuple(self.steps * r for r in self.kernel.radius)
+        """Per-axis halo ``R = steps * radius`` — the fused dependency reach.
+
+        Zero on a periodic axis whose tile is the whole grid extent (unless
+        ``full_halo``): the window is then exactly one period, and the
+        circular FFT supplies the wrap-around exactly — the whole-domain
+        circular convolution of Ahmad et al. — so a halo would only add
+        points to transform and discard.
+        """
+        reach = tuple(self.steps * r for r in self.kernel.radius)
+        if self.boundary != "periodic" or self.full_halo:
+            return reach
+        return tuple(
+            0 if s == g else r
+            for r, s, g in zip(reach, self.valid_shape, self.grid_shape)
+        )
 
     @cached_property
     def local_shape(self) -> tuple[int, ...]:
@@ -136,6 +155,11 @@ class SegmentPlan:
     @property
     def total_segments(self) -> int:
         return int(np.prod(self.num_segments))
+
+    @property
+    def window_points(self) -> int:
+        """Points in the whole window batch: what one fuse transforms."""
+        return self.total_segments * int(np.prod(self.local_shape))
 
     # ------------------------------------------------------ memory accounting
 
@@ -629,8 +653,7 @@ class HaloExchangePlan:
         """Halo points refreshed per exchange: ``total - grid`` (the valid
         interiors partition the grid, so everything else is halo)."""
         seg = self.segments
-        total = seg.total_segments * int(np.prod(seg.local_shape))
-        return total - int(np.prod(seg.grid_shape))
+        return seg.window_points - int(np.prod(seg.grid_shape))
 
     # ------------------------------------------------------- gather maps
 

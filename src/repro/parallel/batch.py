@@ -306,7 +306,7 @@ def run_many(
     overheads across the batch.  ``workers`` shards the *grid axis*: each
     worker serves a disjoint tenant chunk end-to-end (defaults to the
     :func:`~repro.parallel.sharding.choose_workers` autotune over the
-    stacked segment count; small batches run serial).  ``resident`` keeps
+    stacked window points; small batches run serial).  ``resident`` keeps
     each chunk's stacked window batch resident across full applications —
     halo exchange instead of stitch + re-split, still bit-identical —
     and ``None`` consults ``$REPRO_RESIDENT``.  ``processes`` shards the
@@ -390,7 +390,7 @@ def run_many(
             plan, gs, total_steps, procs, telemetry=telemetry,
             injector=injector,
         )
-    w = choose_workers(batch * plan.segments.total_segments, workers)
+    w = choose_workers(batch * plan.segments.window_points, workers)
     w = min(w, batch)
     if w <= 1:
         return _run_many_chunk(

@@ -21,15 +21,21 @@ independent inside pocketfft, so the sharded result is **bit-identical**
 to the serial path.
 
 Worker count is autotuned by :func:`choose_workers` from the plan's
-segment count and the visible CPU count (``REPRO_WORKERS`` overrides);
+window points and the visible CPU count (``REPRO_WORKERS`` overrides);
 small plans degrade to the serial path rather than paying dispatch
 overhead for sub-core shards.
+
+Telemetry counts *logical* work, whatever the worker count: one
+``fft_batches`` per application, one ``split``/``fuse``/``stitch`` wall
+span per phase around its join.  Per-shard work goes to ``shard_tasks``
+and to the ``shard_<phase>_s`` observations.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
@@ -50,9 +56,12 @@ __all__ = ["ShardedExecutor", "choose_workers", "cpu_count"]
 #: this to exercise the sharded path on every test).
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Autotuning floor: a shard below this many segments costs more in
-#: dispatch than it recovers in parallelism.
-MIN_SEGMENTS_PER_WORKER = 8
+#: Autotuning floor: a worker with fewer window points than this costs
+#: more in dispatch and GIL hand-offs than it recovers in parallelism.
+#: Measured on a 2-vCPU host: two workers lose at 16k points per call
+#: (a 128^2 apply, 1.45x slower; run_many of four 64^2 grids, 1.27x) and
+#: win from about 32k (a 192^2 apply, 0.77x; eight 64^2 grids, 0.77x).
+MIN_POINTS_PER_WORKER = 16384
 
 
 def cpu_count() -> int:
@@ -64,17 +73,18 @@ def cpu_count() -> int:
 
 
 def choose_workers(
-    total_segments: int,
+    points: int,
     requested: int | None = None,
     *,
-    min_segments_per_worker: int = MIN_SEGMENTS_PER_WORKER,
+    min_points_per_worker: int = MIN_POINTS_PER_WORKER,
 ) -> int:
-    """Pick a worker count for a plan with ``total_segments`` windows.
+    """Pick a worker count for work over ``points`` window points.
 
     ``requested`` (or ``$REPRO_WORKERS``) wins when given; otherwise the
     count is the available CPUs, degraded so every worker keeps at least
-    ``min_segments_per_worker`` windows — plans too small to amortise
-    thread dispatch run serial (returns 1).
+    ``min_points_per_worker`` points — work too small to amortise thread
+    dispatch runs serial (returns 1).  Points, not windows, are counted:
+    a host-window plan has one window per worker, however large.
     """
     if requested is None:
         requested = env_positive_int(WORKERS_ENV)
@@ -82,7 +92,7 @@ def choose_workers(
         if requested < 1:
             raise PlanError(f"workers must be >= 1, got {requested}")
         return int(requested)
-    by_size = int(total_segments) // max(1, int(min_segments_per_worker))
+    by_size = int(points) // max(1, int(min_points_per_worker))
     return max(1, min(cpu_count(), by_size))
 
 
@@ -153,34 +163,92 @@ class ShardedExecutor:
     def num_shards(self) -> int:
         return len(self._bounds)
 
-    def _run_shard(
-        self,
-        i: int,
-        src_flat: np.ndarray,
-        out: np.ndarray,
-        arena: "WorkspaceArena | None",
-        enabled: bool,
-    ) -> Telemetry:
-        """One shard: gather → FFT·×·iFFT → scatter, on a worker thread.
+    # ------------------------------------------------------------ phases
+    #
+    # Every sharded stage is one phase: the same task on every shard, one
+    # pool join.  Shards touch disjoint window rows and disjoint output
+    # slabs, so phases need no locking; the join is the only barrier.
 
-        Telemetry is recorded into a private per-worker sink (merged at
-        join by the caller) so shards never contend on the shared sink's
-        lock mid-flight.
-        """
+    def _split_rows(
+        self, i: int, src_flat: np.ndarray, windows: np.ndarray
+    ) -> None:
+        """Gather shard ``i``'s windows into its rows of ``windows``."""
+        s0, s1, _, _ = self._bounds[i]
+        np.take(
+            src_flat, self.segments._gather_flat[s0:s1], out=windows[s0:s1]
+        )
+
+    def _fuse_rows(self, i: int, windows: np.ndarray) -> np.ndarray:
+        """FFT · multiply · iFFT of shard ``i``'s rows of ``windows``."""
         seg = self.segments
-        s0, s1, r0, r1 = self._bounds[i]
-        tel = Telemetry() if enabled else NULL_TELEMETRY
-        win_out = arena.window_rows(s0, s1) if arena is not None else None
-        with tel.span("split"):
-            windows = np.take(src_flat, seg._gather_flat[s0:s1], out=win_out)
-        with tel.span("fuse"):
-            axes = tuple(range(1, windows.ndim))
-            spec = self.backend.rfftn(windows, axes)
-            spec *= seg._half_spectrum
-            fused = self.backend.irfftn(spec, seg.local_shape, axes)
-        with tel.span("stitch"):
-            np.take(fused.reshape(-1), self._stitch[i], out=out[r0:r1])
-        return tel
+        s0, s1, _, _ = self._bounds[i]
+        rows = windows[s0:s1]
+        axes = tuple(range(1, rows.ndim))
+        spec = self.backend.rfftn(rows, axes)
+        spec *= seg._half_spectrum
+        return self.backend.irfftn(spec, seg.local_shape, axes)
+
+    def _stitch_rows(
+        self, i: int, fused_rows: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Scatter shard ``i``'s fused rows into its slab of ``out``."""
+        _, _, r0, r1 = self._bounds[i]
+        np.take(fused_rows.reshape(-1), self._stitch[i], out=out[r0:r1])
+
+    def _phase(self, name: str, task, tel: Telemetry) -> list:
+        """Run ``task(i)`` on every shard and join; returns the results.
+
+        The phase records **one** wall-clock span ``name`` around the
+        join, so stage spans add up to wall time whatever the worker
+        count, and each shard's own duration goes in as an observation
+        of ``shard_<name>_s``.
+        """
+
+        def timed(i: int) -> tuple[object, float]:
+            t0 = time.perf_counter()
+            res = task(i)
+            return res, time.perf_counter() - t0
+
+        with tel.span(name):
+            if self.num_shards == 1:
+                pairs = [timed(0)]
+            else:
+                pool = _pool(self.workers)
+                pairs = list(pool.map(timed, range(self.num_shards)))
+        if tel.enabled:
+            for _, dt in pairs:
+                tel.observe(f"shard_{name}_s", dt)
+        return [res for res, _ in pairs]
+
+    def _count_application(self, tel: Telemetry) -> None:
+        """Counters of one sharded application: one logical FFT batch,
+        ``num_shards`` shard tasks."""
+        tel.count("fft_batches", 1)
+        tel.count("sharded_applies", 1)
+        tel.count("shard_tasks", self.num_shards)
+
+    def _source(
+        self,
+        grid: np.ndarray,
+        out: np.ndarray | None,
+        arena: "WorkspaceArena | None",
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validated ``(flat window source, output grid)`` for one call."""
+        seg = self.segments
+        grid = np.asarray(grid, dtype=seg.dtype)
+        if grid.shape != seg.grid_shape:
+            raise PlanError(f"grid shape {grid.shape} != plan {seg.grid_shape}")
+        if arena is not None and not arena.fits(seg):
+            raise PlanError("arena geometry does not match this plan")
+        src = seg.window_source(grid, out=arena.padded if arena is not None else None)
+        if out is None:
+            out = np.empty(seg.grid_shape, dtype=seg.dtype)
+        elif np.shares_memory(src, out):
+            # Shards interleave gather reads and slab writes, so the
+            # serial path's consume-then-write ordering guarantee is gone:
+            # any aliasing would race.
+            raise PlanError("sharded execution: out must not alias the grid")
+        return src.reshape(-1), out
 
     def apply(
         self,
@@ -200,37 +268,17 @@ class ShardedExecutor:
         """
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         seg = self.segments
-        grid = np.asarray(grid, dtype=seg.dtype)
-        if grid.shape != seg.grid_shape:
-            raise PlanError(f"grid shape {grid.shape} != plan {seg.grid_shape}")
-        if arena is not None and not arena.fits(seg):
-            raise PlanError("arena geometry does not match this plan")
-        scratch = arena.padded if arena is not None else None
-        src = seg.window_source(grid, out=scratch)
-        src_flat = src.reshape(-1)
-        if out is None:
-            out = np.empty(seg.grid_shape, dtype=seg.dtype)
-        elif np.shares_memory(src, out):
-            # Shards interleave gather reads and slab writes, so the
-            # serial path's consume-then-write ordering guarantee is gone:
-            # any aliasing would race.
-            raise PlanError("sharded apply: out must not alias the grid")
-        enabled = tel.enabled
-        if self.num_shards == 1:
-            shard_tels = [self._run_shard(0, src_flat, out, arena, enabled)]
-        else:
-            shard_tels = list(
-                _pool(self.workers).map(
-                    lambda i: self._run_shard(i, src_flat, out, arena, enabled),
-                    range(self.num_shards),
-                )
-            )
-        if enabled:
-            for wtel in shard_tels:
-                tel.merge(wtel)
-            tel.count("sharded_applies", 1)
-            tel.count("shard_tasks", self.num_shards)
-            tel.count("fft_batches", self.num_shards)
+        src_flat, out = self._source(grid, out, arena)
+        windows = (
+            arena.windows
+            if arena is not None
+            else np.empty((seg.total_segments,) + seg.local_shape, dtype=seg.dtype)
+        )
+        self._phase("split", lambda i: self._split_rows(i, src_flat, windows), tel)
+        fused = self._phase("fuse", lambda i: self._fuse_rows(i, windows), tel)
+        self._phase("stitch", lambda i: self._stitch_rows(i, fused[i], out), tel)
+        if tel.enabled:
+            self._count_application(tel)
             tel.record_cache(
                 "sharding", workers=self.workers, shards=self.num_shards
             )
@@ -262,18 +310,7 @@ class ShardedExecutor:
         seg = self.segments
         if applications < 1:
             raise PlanError(f"applications must be >= 1, got {applications}")
-        grid = np.asarray(grid, dtype=seg.dtype)
-        if grid.shape != seg.grid_shape:
-            raise PlanError(f"grid shape {grid.shape} != plan {seg.grid_shape}")
-        if arena is not None and not arena.fits(seg):
-            raise PlanError("arena geometry does not match this plan")
-        scratch = arena.padded if arena is not None else None
-        src = seg.window_source(grid, out=scratch)
-        src_flat = src.reshape(-1)
-        if out is None:
-            out = np.empty(seg.grid_shape, dtype=seg.dtype)
-        elif np.shares_memory(src, out):
-            raise PlanError("sharded run_resident: out must not alias the grid")
+        src_flat, out = self._source(grid, out, arena)
         if arena is not None:
             cur = arena.windows
             nxt = arena.resident_windows()
@@ -288,64 +325,35 @@ class ShardedExecutor:
             else None
         )
         zero_fix = seg.boundary == "zero" and seg.steps > 1
-        enabled = tel.enabled
 
-        def _split_shard(i: int) -> Telemetry:
+        def fuse_into_nxt(i: int) -> None:
             s0, s1, _, _ = self._bounds[i]
-            wtel = Telemetry() if enabled else NULL_TELEMETRY
-            with wtel.span("split"):
-                np.take(src_flat, seg._gather_flat[s0:s1], out=cur[s0:s1])
-            return wtel
+            np.copyto(nxt[s0:s1], self._fuse_rows(i, cur))
 
-        def _fuse_shard(i: int) -> Telemetry:
-            s0, s1, _, _ = self._bounds[i]
-            wtel = Telemetry() if enabled else NULL_TELEMETRY
-            with wtel.span("fuse"):
-                rows = cur[s0:s1]
-                axes = tuple(range(1, rows.ndim))
-                spec = self.backend.rfftn(rows, axes)
-                spec *= seg._half_spectrum
-                np.copyto(
-                    nxt[s0:s1], self.backend.irfftn(spec, seg.local_shape, axes)
-                )
-            return wtel
-
-        def _stitch_shard(i: int) -> Telemetry:
-            s0, s1, r0, r1 = self._bounds[i]
-            wtel = Telemetry() if enabled else NULL_TELEMETRY
-            with wtel.span("stitch"):
-                np.take(cur[s0:s1].reshape(-1), self._stitch[i], out=out[r0:r1])
-            return wtel
-
-        def _barrier(task) -> None:
-            if self.num_shards == 1:
-                tels = [task(0)]
-            else:
-                tels = list(_pool(self.workers).map(task, range(self.num_shards)))
-            if enabled:
-                for wtel in tels:
-                    tel.merge(wtel)
-
-        _barrier(_split_shard)
+        self._phase("split", lambda i: self._split_rows(i, src_flat, cur), tel)
         for k in range(applications):
-            _barrier(_fuse_shard)
-            if enabled:
+            self._phase("fuse", fuse_into_nxt, tel)
+            if tel.enabled:
                 tel.count("applications", 1)
                 tel.count("windows", seg.total_segments)
-                tel.count("fft_batches", self.num_shards)
-                tel.count("sharded_applies", 1)
-                tel.count("shard_tasks", self.num_shards)
+                self._count_application(tel)
             if zero_fix:
                 with tel.span("boundary_fix"):
                     seg.fix_zero_boundary_band_windows(cur, nxt)
             if k + 1 < applications:
                 with tel.span("exchange"):
                     ex.refresh(nxt, scratch=halo_buf, telemetry=tel)
-                if enabled:
+                if tel.enabled:
                     tel.count("hbm_round_trips_saved", 1)
             cur, nxt = nxt, cur
-        _barrier(_stitch_shard)
-        if enabled:
+        self._phase(
+            "stitch",
+            lambda i: self._stitch_rows(
+                i, cur[self._bounds[i][0] : self._bounds[i][1]], out
+            ),
+            tel,
+        )
+        if tel.enabled:
             tel.count("points_stitched", int(np.prod(seg.grid_shape)))
             tel.record_cache(
                 "sharding", workers=self.workers, shards=self.num_shards

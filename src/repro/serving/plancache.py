@@ -13,7 +13,11 @@ persists exactly those products so a fresh process skips the re-derivation:
   FFT backend *name*, worker request).  Keying on the *request* — the tile
   as asked for, usually ``None`` — means the cold construction and every
   later warm lookup agree on the entry; the stored artifact carries the
-  tile the auto-tuner actually resolved.
+  tile the auto-tuner actually resolved.  A ``tile=None`` key also names
+  the geometry rule that cuts the windows, with the resolved slab count
+  (:func:`repro.core.plan.geometry_rule`), so a record written under
+  another rule or for another CPU count misses and is rewritten instead
+  of pinning stale windows.
 * **value** — a ``<digest>.json`` meta record (the key string in clear,
   for auditability, plus resolved tile / window shape / fusion depth) and
   a ``<digest>.npz`` holding the window-local fused spectrum.
@@ -72,9 +76,12 @@ def _key_string(
 
     ``precision`` joins the key for every non-reference tier, so a
     float32 entry can never collide with — and so never warm-start — a
-    float64 plan; the float64 rendering is byte-identical to the
-    historical one, keeping pre-existing on-disk entries valid.
+    float64 plan.  A ``tile=None`` key ends with the geometry rule of
+    :func:`repro.core.plan.geometry_rule` (``eq5`` or
+    ``host-slabs:<n>``): host-window geometry follows the visible CPUs.
     """
+    from ..core.plan import geometry_rule
+
     parts = [
         f"grid={tuple(grid_shape)}",
         f"kernel={kernel.name}:{kernel.offsets}:{kernel.weights}",
@@ -88,6 +95,9 @@ def _key_string(
     ]
     if precision != "float64":
         parts.append(f"precision={precision}")
+    if tile is None:
+        rule = geometry_rule(tuple(grid_shape), kernel, fused_steps, boundary)
+        parts.append(f"geometry={rule}")
     return "|".join(parts)
 
 
@@ -336,14 +346,17 @@ class PlanDiskCache:
         """Construct a plan, warm-starting from disk when possible.
 
         On a hit the stored fused spectrum is seeded into the in-process
-        spectrum cache and the stored tile passed as an explicit override,
-        so construction skips both auto-tuning and the spectrum FFT; on a
-        miss the plan is built cold and its artifacts persisted for the
-        next process.  Either way the returned plan is numerically
-        identical to a cold build (the artifacts *are* the cold products).
+        spectrum cache and, for Eq.-(5) geometry, the stored tile passed
+        as an explicit override, so construction skips both auto-tuning
+        and the spectrum FFT.  Host-slab windows are a closed form of the
+        key's geometry tag, so those rebuild with ``tile=None`` and keep
+        the cold plan's GPU-model windows too.  On a miss the plan is
+        built cold and its artifacts persisted for the next process.
+        Either way the returned plan is numerically identical to a cold
+        build (the artifacts *are* the cold products).
         """
         from ..core.kernels import spectrum_cache_seed
-        from ..core.plan import FlashFFTStencil
+        from ..core.plan import FlashFFTStencil, geometry_rule
         from ..core.streamline import StreamlineConfig
         from ..gpusim.spec import A100
         from ..parallel.backends import get_backend
@@ -376,6 +389,9 @@ class PlanDiskCache:
                 stored["fused_spectrum"],
                 precision=prec,
             )
+            host = tile is None and geometry_rule(
+                grid_shape, kernel, fused_steps, boundary
+            ) != "eq5"
             return FlashFFTStencil(
                 grid_shape,
                 kernel,
@@ -383,7 +399,7 @@ class PlanDiskCache:
                 boundary=boundary,
                 gpu=gpu,
                 config=config,
-                tile=stored["tile"],
+                tile=None if host else stored["tile"],
                 backend=resolved,
                 workers=workers,
                 precision=prec,

@@ -22,9 +22,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..analysis.sparsity import fragment_density, kernel_tap_density
-from ..core.autotune import choose_segment_length, choose_tile_shape
 from ..core.pfa import best_coprime_split, coprime_splits
+from ..core.plan import default_tile
 from ..core.precision import real_dtype
+from ..core.tailoring import SegmentPlan
 from ..errors import PlanError
 from ..gpusim.roofline import KernelCost, execution_time
 from ..parallel.sharding import cpu_count
@@ -48,36 +49,38 @@ _DISPATCH_S = 2e-4
 def _window_geometry(
     plan: "FlashFFTStencil", cand: "TunerCandidate"
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(valid, local) tile shapes the candidate's plan would use.
+    """(valid, local) window shapes the candidate's plan would run.
 
-    Mirrors plan construction without building a plan: an explicit
-    candidate tile is honoured; otherwise the Eq.-(5) / tile-shape
-    auto-tuners run for the candidate's fusion depth.  Raises
-    :class:`PlanError` for infeasible depths (halo swallows the window),
-    which :func:`prune_candidates` treats as "discard".
+    Resolved by the plan's own rules without building a plan: an
+    explicit candidate tile is honoured, otherwise
+    :func:`~repro.core.plan.default_tile` picks it (host slabs or Eq. (5))
+    for the candidate's fusion depth, and :class:`SegmentPlan` applies its
+    halo rule — so the model prices the windows the host will run.
+    Raises :class:`PlanError` for infeasible depths (halo swallows the
+    window), which :func:`prune_candidates` treats as "discard".
     """
-    kernel = plan.kernel
-    halo = tuple(cand.fused_steps * r for r in kernel.radius)
     if cand.tile is not None:
-        valid = tuple(int(t) for t in cand.tile)
-    elif kernel.ndim == 1:
-        seg = choose_segment_length(
-            kernel, cand.fused_steps, plan.gpu, precision=plan.precision
-        )
-        valid = (min(seg.valid, plan.grid_shape[0]),)
+        tile = tuple(int(t) for t in cand.tile)
     else:
-        auto = choose_tile_shape(
-            kernel,
+        tile, _ = default_tile(
+            plan.grid_shape,
+            plan.kernel,
             cand.fused_steps,
+            plan.boundary,
             plan.gpu,
-            blocks_per_sm=1,
-            precision=plan.precision,
+            plan.precision,
         )
-        valid = tuple(min(t, g) for t, g in zip(auto, plan.grid_shape))
-    if any(v < 1 for v in valid):
-        raise PlanError(f"empty valid tile {valid} for T={cand.fused_steps}")
-    local = tuple(v + 2 * h for v, h in zip(valid, halo))
-    return valid, local
+    if any(v < 1 for v in tile):
+        raise PlanError(f"empty valid tile {tile} for T={cand.fused_steps}")
+    seg = SegmentPlan(
+        plan.grid_shape,
+        plan.kernel,
+        cand.fused_steps,
+        tile,
+        plan.boundary,
+        plan.precision,
+    )
+    return seg.valid_shape, seg.local_shape
 
 
 def predicted_seconds(
@@ -152,7 +155,9 @@ def predicted_seconds(
     # --- host-side scaling --------------------------------------------
     cpus = cpu_count()
     workers = cand.workers if cand.workers >= 1 else cpus
-    threads = max(1, min(workers, cpus))
+    # Shards split the axis-0 tiles, so no more threads run than there are.
+    tiles0 = -(-plan.grid_shape[0] // valid[0])
+    threads = max(1, min(workers, cpus, tiles0))
     fft_threads = 1
     if ":" in cand.backend:
         try:

@@ -5,10 +5,10 @@ without shaping numerics *for a fixed plan configuration*: temporal fusion
 depth, valid-tile override, FFT backend (and its transform-thread count),
 shard workers, segment residency, process ranks, and the ``run_many``
 micro-batch width.  :func:`candidate_space` seeds the search from the
-static heuristics the library already trusts — Eq.-(5)
-:func:`~repro.core.autotune.choose_segment_length` /
-:func:`~repro.core.autotune.choose_tile_shape` for geometry,
-:func:`~repro.parallel.sharding.choose_workers` for thread sharding,
+static heuristics the library already trusts —
+:func:`~repro.core.plan.default_tile` for geometry (host slabs or
+Eq. (5)), :func:`~repro.parallel.sharding.choose_workers` for thread
+sharding,
 :func:`~repro.distributed.engine.choose_processes` for ranks, and
 :func:`~repro.core.plan.resident_default` for residency — then varies one
 coordinate at a time around that incumbent.  Coordinate variation keeps
@@ -36,12 +36,13 @@ __all__ = ["TunerCandidate", "candidate_space", "static_candidate"]
 class TunerCandidate:
     """One point of the joint configuration space.
 
-    ``tile=None`` means "let Eq.-(5) / tile-shape auto-tuning pick"; an
-    explicit tuple pins the valid-tile shape.  ``workers=0`` means
-    autotune from segment count at execution time; ``processes`` is always
-    concrete (1 = in-process).  ``batch`` is the ``run_many`` / serving
-    micro-batch width — carried in the candidate so a persisted winner
-    replays the whole configuration, but only varied by batched workloads.
+    ``tile=None`` means "let the plan's
+    :func:`~repro.core.plan.default_tile` rule pick"; an explicit tuple
+    pins the valid-tile shape.  ``workers=0`` means autotune from window
+    points at execution time; ``processes`` is always concrete (1 =
+    in-process).  ``batch`` is the ``run_many`` / serving micro-batch
+    width — carried in the candidate so a persisted winner replays the
+    whole configuration, but only varied by batched workloads.
     """
 
     fused_steps: int
@@ -177,9 +178,11 @@ def candidate_space(
     if cpus > 1:
         add(replace(static, backend=f"scipy:{min(cpus, 4)}"))
 
-    # Shard workers: serial, the heuristic, all cores.
-    auto_workers = choose_workers(plan.segments.total_segments, None)
-    for w in {1, auto_workers, min(cpus, plan.segments.total_segments)}:
+    # Shard workers: serial, the heuristic, all cores — counted on the
+    # windows the plan runs (at most one worker per axis-0 tile).
+    tiles0 = plan.segments.num_segments[0]
+    auto_workers = min(choose_workers(plan.segments.window_points), tiles0)
+    for w in {1, auto_workers, min(cpus, tiles0)}:
         if w >= 1:
             add(replace(static, workers=w))
 

@@ -37,7 +37,7 @@ from repro.parallel import (
     register_backend,
 )
 from repro.parallel.backends import BACKEND_ENV
-from repro.parallel.sharding import WORKERS_ENV
+from repro.parallel.sharding import MIN_POINTS_PER_WORKER, WORKERS_ENV
 
 
 # --------------------------------------------------------------- backends
@@ -127,15 +127,22 @@ class TestChooseWorkers:
     def test_small_plans_run_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         assert choose_workers(4) == 1
+        assert choose_workers(MIN_POINTS_PER_WORKER - 1) == 1
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "5")
         assert choose_workers(10_000) == 5
 
-    def test_autotune_respects_segment_floor(self, monkeypatch):
+    def test_autotune_respects_point_floor(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        # 17 segments can keep at most 2 workers at >= 8 segments each.
-        assert choose_workers(17) <= 2
+        # 2.5 floors' worth of window points keeps at most 2 workers.
+        assert choose_workers(5 * MIN_POINTS_PER_WORKER // 2) <= 2
+
+    def test_points_not_windows(self, monkeypatch):
+        # One huge window still shards: what counts is the work per worker.
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.setattr("repro.parallel.sharding.cpu_count", lambda: 4)
+        assert choose_workers(128**3) == 4
 
 
 SHARD_CASES = [
@@ -236,6 +243,37 @@ class TestShardedEquivalence:
         for stage in ("split", "fuse", "stitch"):
             assert stage in snap["spans"]
         assert snap["caches"]["sharding"]["workers"] == 2
+
+    def test_counters_are_logical_under_sharding(self, rng):
+        """One FFT batch per application whatever the shard count; the
+        per-shard work is ``shard_tasks``."""
+        g = rng.standard_normal((64, 64))
+        plan = FlashFFTStencil(
+            g.shape, kz.heat_2d(), fused_steps=2, tile=(16, 16), workers=2
+        )
+        shards = plan._shard_executor.num_shards
+        assert shards == 2
+        for resident in (False, True):
+            tel = Telemetry()
+            plan.run(g, 6, telemetry=tel, resident=resident, processes=1)
+            c = tel.snapshot()["counters"]
+            assert c["applications"] == 3
+            assert c["fft_batches"] == c["applications"]
+            assert c["shard_tasks"] == shards * c["applications"]
+
+    def test_sharded_stage_spans_are_wall_clock(self, rng):
+        """One wall span per phase around the join; per-shard durations
+        are observations, so spans never sum past wall time."""
+        g = rng.standard_normal((64, 64))
+        plan = FlashFFTStencil(
+            g.shape, kz.heat_2d(), fused_steps=2, tile=(16, 16), workers=2
+        )
+        tel = Telemetry()
+        plan.apply(g, telemetry=tel)
+        snap = tel.snapshot()
+        for stage in ("split", "fuse", "stitch"):
+            assert snap["spans"][stage]["calls"] == 1
+            assert tel.observation(f"shard_{stage}_s")["count"] == 2
 
     def test_concurrent_runs_share_one_plan(self, rng):
         """Satellite (b): concurrent callers on one plan stay correct and

@@ -433,6 +433,42 @@ class TestPlanDiskCache:
         warm = cache.warm_plan((48, 48), heat_2d(), fused_steps=4)
         np.testing.assert_array_equal(warm.run(g.copy(), 12), want)
 
+    def test_stale_host_window_records_rebuild_cold(self, tmp_path, monkeypatch):
+        """Records from the Eq.-(5) host geometry, or cut for another slab
+        count, miss: the plan is built cold with the current windows."""
+        from repro.core.kernels import heat_3d
+        from repro.core.plan import eq5_tile
+        from repro.core.streamline import StreamlineConfig
+        from repro.gpusim.spec import A100
+        from repro.parallel.sharding import WORKERS_ENV
+        from repro.serving.plancache import _key_string
+
+        shape, k = (32, 32, 32), heat_3d()
+        cache = PlanDiskCache(tmp_path)
+        # Written before keys named their geometry: same request, no tag,
+        # Eq.-(5) windows stored as the resolved tile.
+        tile, _ = eq5_tile(shape, k, 2, A100, "float64")
+        old = FlashFFTStencil(shape, k, fused_steps=2, tile=tile)
+        legacy = _key_string(
+            shape, k, 2, "periodic", A100, StreamlineConfig(), None, "numpy", None
+        ).split("|geometry=")[0]
+        cache.put(legacy, old.planning_artifacts())
+        # Written on a one-CPU host: one slab.
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        one = cache.warm_plan(shape, k, fused_steps=2)
+        assert one.segments.num_segments == (1, 1, 1)
+
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        cold = cache.warm_plan(shape, k, fused_steps=2)
+        assert cache.hits == 0
+        assert cold.segments.num_segments == (2, 1, 1)
+        assert cold.segments.halo == (2, 0, 0)
+        assert cold.local_shape != old.local_shape
+        warm = cache.warm_plan(shape, k, fused_steps=2)
+        assert cache.hits == 1
+        assert warm.local_shape == cold.local_shape
+        assert warm._tile_override is None  # host windows stay tile=None
+
     def test_corrupt_entry_reads_as_miss_and_heals(self, tmp_path):
         cache = PlanDiskCache(tmp_path)
         cache.warm_plan((192,), heat_1d(), fused_steps=6)
