@@ -76,6 +76,12 @@ ENGINE_FUSED = 4
 SERVE_SHAPE = (48, 48)
 SERVE_FUSED = 2
 SERVE_STEPS = 4
+#: Open-loop requests arrive in bursts of this many.  The server
+#: dispatches as soon as it is idle, so only requests that arrive
+#: together (or during a running batch) share a batch; bursts make the
+#: multi-request batches that the injected scale-out crash targets and
+#: that bisection must undo.
+SERVE_BURST = 4
 
 
 def _engine_plan() -> FlashFFTStencil:
@@ -245,17 +251,25 @@ async def _drive_open_loop(
     steps: int,
     gap_s: float,
 ):
-    """Open-loop arrivals: submissions never wait for completions."""
+    """Open-loop arrivals: submissions never wait for completions.
+
+    Requests arrive in bursts of ``SERVE_BURST``, ``gap_s`` apart.
+    """
     futs, pfuts = [], []
     slot = 0
+
+    async def tick() -> None:
+        nonlocal slot
+        slot += 1
+        if slot % SERVE_BURST == 0:
+            await asyncio.sleep(gap_s)
+
     for g in healthy:
         if slot in poison_at:
             pfuts.append(server.submit_nowait(poison_grid, steps))
-            slot += 1
-            await asyncio.sleep(gap_s)
+            await tick()
         futs.append(server.submit_nowait(g, steps))
-        slot += 1
-        await asyncio.sleep(gap_s)
+        await tick()
     answers = await asyncio.gather(*futs, return_exceptions=True)
     perrs = await asyncio.gather(*pfuts, return_exceptions=True)
     return answers, perrs
@@ -281,7 +295,6 @@ def serving_chaos(
     )
     tel = Telemetry()
     cfg = ServingConfig(
-        deadline_ms=10.0,
         max_batch=8,
         processes=2,
         guards=GuardPolicy(),

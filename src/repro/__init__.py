@@ -39,7 +39,8 @@ Subpackages
     Throughput engine: multi-core sharded execution, pluggable FFT
     backends, batched multi-grid serving, workspace arenas.
 ``repro.serving``
-    Serving front-end: asyncio micro-batcher with latency deadlines,
+    Serving front-end: work-conserving asyncio micro-batcher (a batch
+    launches when the engine is idle, with no fill wait),
     deficit-round-robin tenant fairness, admission control, and a
     persistent plan/spectrum cache for fresh-process warm starts.
 """

@@ -229,10 +229,11 @@ def plan_key(
     """The canonical plan-cache tuple: everything that shapes a plan.
 
     Shared by the in-process LRU below and by the persistent on-disk cache
-    (:mod:`repro.serving.plancache`), which digests this tuple's repr —
-    one key definition, two cache tiers.  The FFT backend participates by
-    *name* only: every registered backend is numerically interchangeable,
-    so two worker configurations of one provider may safely share a plan.
+    (:mod:`repro.serving.plancache`), which digests the same fields minus
+    the backend (its stored artifacts do not depend on it).  The FFT
+    backend participates here by *name* only: every registered backend is
+    numerically interchangeable, so two worker configurations of one
+    provider may safely share a plan.
     ``precision`` is part of the key — a float32 plan carries complex64
     spectra and float32 workspaces, so the tiers can never share an entry.
     A ``tile=None`` key also carries :func:`geometry_rule`: host-window

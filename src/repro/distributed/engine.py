@@ -168,10 +168,12 @@ def backend_spec(backend: "FFTBackend | str | None") -> str:
 
     Workers rebuild their FFT provider by name (plus the scipy worker
     suffix); custom providers must be registered at import time of
-    :mod:`repro.parallel.backends` in the child as well.
+    :mod:`repro.parallel.backends` in the child as well.  ``None``
+    resolves as a plan's backend does (``$REPRO_FFT_BACKEND``, else
+    numpy), so an engine built from bare segments runs the plan's FFTs.
     """
     if backend is None:
-        return "numpy"
+        backend = get_backend(None)
     if isinstance(backend, str):
         return backend
     workers = getattr(backend, "workers", None)
@@ -327,8 +329,6 @@ def _run_rank(
             np.copyto(
                 nxt[s0:s1], backend.irfftn(spec, seg.local_shape, axes)
             )
-        if tel.enabled:
-            tel.count("fft_batches", 1)
         if zero_fix:
             with tel.span("boundary_fix"):
                 seg.fix_zero_boundary_band_windows(cur, nxt, rows=(s0, s1))
@@ -1005,8 +1005,6 @@ class ProcessEngine:
                         nxt[s0:s1],
                         backend.irfftn(spec, seg.local_shape, axes),
                     )
-            if tel.enabled:
-                tel.count("fft_batches", self.processes)
             if zero_fix:
                 with tel.span("boundary_fix"):
                     for s0, s1, _, _ in self.bounds:
@@ -1034,8 +1032,13 @@ class ProcessEngine:
         return out
 
     def _count_run(self, tel: Telemetry, applications: int) -> None:
+        """Counters of one run, independent of the rank count: one logical
+        FFT batch per application, ``processes`` shard tasks each (the
+        thread path's ``fft_batches``/``shard_tasks`` convention)."""
         seg = self.segments
         tel.count("applications", applications)
+        tel.count("fft_batches", applications)
+        tel.count("shard_tasks", applications * self.processes)
         tel.count("windows", applications * seg.total_segments)
         tel.count("points_stitched", int(np.prod(seg.grid_shape)))
         tel.count("process_tasks", self.processes)

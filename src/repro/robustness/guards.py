@@ -129,8 +129,14 @@ def check_array(
     # when that bound is inconclusive (legit data whose rms is within a
     # factor sqrt(n) of max_abs, or an ss overflow).  Scalar classification
     # uses math.isfinite: np.isfinite's ufunc dispatch on a Python float
-    # costs as much as the reduction itself.
-    ss = float(abs(np.vdot(arr, arr)))
+    # costs as much as the reduction itself.  The reduction is einsum, not
+    # vdot: vdot goes through BLAS, whose thread pool wake-up costs
+    # milliseconds per call on a multi-core host (complex data is summed
+    # as its interleaved real/imaginary parts, i.e. sum |x|^2).
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    if flat.dtype.kind == "c":
+        flat = flat.view(flat.real.dtype)
+    ss = float(abs(np.einsum("i,i->", flat, flat)))
     if math.isfinite(ss) and (
         policy.max_abs is None or ss <= policy.max_abs * policy.max_abs
     ):

@@ -2,12 +2,13 @@
 
 The production-facing layer above :mod:`repro.parallel`: an asyncio
 micro-batcher (:class:`StencilServer`) that coalesces independent stencil
-requests into batched :func:`~repro.parallel.batch.run_many` executions
-under a latency deadline, with deficit-round-robin tenant fairness
-(:class:`DeficitRoundRobin`), bounded-queue admission control
-(:class:`AdmissionController`), and a persistent on-disk plan/spectrum
-cache (:class:`PlanDiskCache`) so a fresh process warm-starts planning
-instead of re-deriving it.
+requests into batched :func:`~repro.parallel.batch.run_many` executions.
+Dispatch is work-conserving: a batch launches whenever the engine is idle
+and work is queued, never held back to fill.  Around it sit
+deficit-round-robin tenant fairness (:class:`DeficitRoundRobin`),
+bounded-queue admission control (:class:`AdmissionController`), and a
+persistent on-disk plan/spectrum cache (:class:`PlanDiskCache`) so a
+fresh process warm-starts planning instead of re-deriving it.
 
 Failure isolation lives here too: request validation at admission,
 per-request deadlines, retry-then-bisection batch recovery, and a

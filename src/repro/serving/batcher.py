@@ -1,25 +1,28 @@
-"""Asyncio micro-batcher: coalesce stencil requests under a latency deadline.
+"""Asyncio micro-batcher: coalesce stencil requests without a fill wait.
 
 A serving replica receives a stream of independent ``(grid, steps)``
 requests.  Executing each alone pays the per-call fixed costs B times and
 leaves the batched-FFT path (:func:`repro.parallel.batch.run_many`) idle;
-waiting forever for a full batch trades that throughput for unbounded
-latency.  :class:`StencilServer` walks the line explicitly:
+holding requests back to fill a batch buys that throughput with latency.
+:class:`StencilServer` dispatches *work-conservingly* instead:
 
 * requests enter through **admission control** (bounded queue, per-tenant
   caps — :class:`~repro.serving.admission.AdmissionController`), then a
   **deficit-round-robin scheduler** so no tenant's backlog starves the
   others (:class:`~repro.serving.scheduler.DeficitRoundRobin`);
-* the batch loop collects until either the **target batch size** is
-  reached or the *oldest* queued request has waited ``deadline_ms`` —
-  whichever comes first — so p99 queueing delay is capped by construction;
-* the target adapts from live telemetry: an EWMA of per-grid service time
-  sizes the batch so expected service stays within ``service_fraction``
-  of the deadline (big batches when grids are cheap, small when they are
-  expensive);
+* whenever requests are queued and no batch is in flight, the batch loop
+  yields once (so submissions and timers already on the ready queue
+  land), pops up to the batch target and runs it at once — the engine
+  never idles while work waits, and no timer holds a lone request back.
+  Requests that arrive while a batch runs form the next batch, so under
+  backlog batches still fill to ``max_batch``;
+* the batch target is ``max_batch``, capped by the online tuner's
+  measured batch size when one is attached — one controller;
 * collected requests are grouped by ``(steps, precision)`` and executed
-  through :func:`~repro.parallel.batch.serve_batch` in a thread-pool
-  executor, so the event loop keeps accepting submissions mid-batch.
+  through :func:`~repro.parallel.batch.serve_batch`, in a thread-pool
+  executor (so the event loop keeps accepting submissions mid-batch)
+  unless an EWMA of per-grid service time predicts the batch finishes
+  faster than the executor hop, in which case it runs inline.
   ``submit(..., tolerance=...)`` opts a request into accuracy-budget
   routing: the plan's :class:`~repro.analysis.accuracy.PrecisionRouter`
   picks the cheapest precision tier predicted to meet the budget, routed
@@ -31,7 +34,9 @@ latency.  :class:`StencilServer` walks the line explicitly:
 Batched execution is numerically exact: responses are bit-identical to a
 per-request ``plan.run`` loop (grids are stacked, never mixed); routed
 float32 responses are returned in the plan's dtype (float64 by default)
-and are within the declared tolerance of the float64 reference.
+and are within the declared tolerance of the float64 reference.  The
+measured latency effect of dropping the fill wait is tabulated in
+``docs/TECHNIQUES.md`` §15.
 
 **Failure isolation.**  Co-batching must not create shared fate: one bad
 request (or one crashed worker) failing every co-batched tenant would
@@ -88,20 +93,17 @@ __all__ = ["ServingConfig", "StencilServer"]
 class ServingConfig:
     """Knobs of the micro-batching policy.
 
-    ``deadline_ms`` bounds how long the *oldest* queued request may wait
-    before a batch launches regardless of fill; ``service_fraction`` is
-    the slice of that deadline the adaptive sizer budgets for execution
-    (the rest absorbs queueing and dispatch).  ``quantum`` is the DRR
-    credit per tenant visit in grid-point units (``None``: one plan-sized
-    grid, i.e. roughly one request per tenant per round).
+    ``max_batch`` caps how many queued requests one batch takes; batches
+    launch as soon as the engine is idle, whatever their fill.
+    ``ewma_alpha`` smooths the per-grid service time that decides inline
+    vs executor dispatch.  ``quantum`` is the DRR credit per tenant visit
+    in grid-point units (``None``: one plan-sized grid, i.e. roughly one
+    request per tenant per round).
     """
 
-    deadline_ms: float = 25.0
     max_batch: int = 8
     max_queue: int = 256
     max_pending_per_tenant: int | None = None
-    adaptive: bool = True
-    service_fraction: float = 0.5
     ewma_alpha: float = 0.3
     quantum: float | None = None
     weights: Mapping[str, float] | None = None
@@ -110,8 +112,8 @@ class ServingConfig:
     #: Batches whose EWMA-predicted service time is below this run inline
     #: on the event loop instead of hopping to the thread-pool executor:
     #: the ~0.5 ms dispatch round trip would otherwise dominate sub-ms
-    #: batches.  Blocking the loop that briefly is invisible next to the
-    #: deadline; 0 disables inlining entirely.
+    #: batches.  Blocking the loop that briefly costs less than the hop
+    #: it saves; 0 disables inlining entirely.
     inline_below_ms: float = 2.0
     #: Validate each request at admission (shape, finite values, step
     #: ceiling) so a malformed grid is refused before it can poison a
@@ -144,17 +146,11 @@ class ServingConfig:
     guards: "GuardPolicy | None" = None
 
     def __post_init__(self) -> None:
-        if self.deadline_ms <= 0:
-            raise ServingError(f"deadline_ms must be > 0, got {self.deadline_ms}")
         if self.max_batch < 1:
             raise ServingError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.inline_below_ms < 0:
             raise ServingError(
                 f"inline_below_ms must be >= 0, got {self.inline_below_ms}"
-            )
-        if not 0.0 < self.service_fraction <= 1.0:
-            raise ServingError(
-                f"service_fraction must be in (0, 1], got {self.service_fraction}"
             )
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ServingError(
@@ -239,10 +235,10 @@ class StencilServer:
         #: execution path (benchmarks/bench_chaos.py drives this).
         self.injector = injector
         #: Online tuner (:class:`~repro.tuner.OnlineTuner`): when present,
-        #: the adaptive batch size becomes a tuner dimension — live
-        #: per-grid service observations per batch size feed
+        #: the batch size becomes a tuner dimension — live per-grid
+        #: service observations per batch size feed
         #: :meth:`~repro.tuner.OnlineTuner.observe_batch`, and once the
-        #: tuner decides, its target caps the EWMA sizing.  Breaker
+        #: tuner decides, its target caps ``max_batch``.  Breaker
         #: degradation invalidates the tuned state (the machine the winner
         #: was measured on is gone).
         self.tuner = tuner
@@ -278,6 +274,7 @@ class StencilServer:
         self._draining = False
         self._inflight = 0
         #: EWMA of per-grid service time (seconds); None until first batch.
+        #: It only chooses inline vs executor dispatch, never batch size.
         self._service_ewma: float | None = None
         self.batches = 0
         self.served = 0
@@ -433,33 +430,20 @@ class StencilServer:
     # ------------------------------------------------------------- batch loop
 
     def _batch_size_target(self) -> int:
-        """Batch size the service-time budget supports right now.
+        """How many queued requests the next batch takes.
 
-        With no samples yet (or adaptation off) the full ``max_batch``;
-        otherwise the largest B whose expected execution time ``B * ewma``
-        fits in ``service_fraction * deadline``.  A tuner-decided batch
-        target (measured, not predicted) caps the EWMA answer — the
-        deadline budget still rules, so a tuned target can shrink batches
-        but never push service past the deadline.
+        ``max_batch``, capped by a tuner-decided batch target (measured
+        per-grid service time per batch size) once the tuner has one.
         """
-        cfg = self.config
-        tuned = (
-            self.tuner.tuned_batch(self._tuner_sig)
-            if self.tuner is not None
-            else None
-        )
-        if not cfg.adaptive or not self._service_ewma:
-            target = cfg.max_batch
-        else:
-            budget_s = cfg.deadline_ms / 1000.0 * cfg.service_fraction
-            target = int(budget_s / self._service_ewma)
-        if tuned is not None:
-            target = min(target, tuned)
-        return max(1, min(cfg.max_batch, target))
+        target = self.config.max_batch
+        if self.tuner is not None:
+            tuned = self.tuner.tuned_batch(self._tuner_sig)
+            if tuned is not None:
+                target = min(target, tuned)
+        return max(1, target)
 
     async def _batch_loop(self) -> None:
         assert self._wake is not None
-        deadline_s = self.config.deadline_ms / 1000.0
         while True:
             while not len(self._scheduler):
                 if self._draining:
@@ -468,22 +452,12 @@ class StencilServer:
                 if len(self._scheduler):
                     continue  # submit raced the clear; re-check before waiting
                 await self._wake.wait()
-            target = self._batch_size_target()
-            # Collect until the target batch fills or the oldest queued
-            # request runs out of deadline.  Draining skips the wait.
-            while not self._draining and len(self._scheduler) < target:
-                oldest = min(r.t_submit for r in self._scheduler.heads())
-                remaining = oldest + deadline_s - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._wake.clear()
-                if len(self._scheduler) >= target:
-                    break
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-            batch = self._scheduler.pop_batch(target)
+            # Work-conserving: the engine is idle and work is queued, so
+            # yield once — submissions and expiry timers already on the
+            # ready queue land — then run whatever is there.  Arrivals
+            # during this batch form the next one.
+            await asyncio.sleep(0)
+            batch = self._scheduler.pop_batch(self._batch_size_target())
             if batch:
                 await self._execute(batch)
 

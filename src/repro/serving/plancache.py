@@ -10,7 +10,10 @@ persists exactly those products so a fresh process skips the re-derivation:
 * **key** — the SHA-256 digest of a canonical string rendering of
   :func:`repro.core.plan.plan_key` (grid shape, kernel taps/weights/name,
   fusion depth, boundary, GPU model, streamline config, requested tile,
-  FFT backend *name*, worker request).  Keying on the *request* — the tile
+  worker request).  The FFT backend is left out: neither stored artifact
+  depends on it (the spectrum comes from NumPy's FFT, the tile from the
+  geometry rule), so a plan warmed under one backend warm-starts under
+  another.  Keying on the *request* — the tile
   as asked for, usually ``None`` — means the cold construction and every
   later warm lookup agree on the entry; the stored artifact carries the
   tile the auto-tuner actually resolved.  A ``tile=None`` key also names
@@ -63,7 +66,6 @@ def _key_string(
     gpu,
     config,
     tile: tuple[int, ...] | None,
-    backend_name: str,
     workers: int | None,
     precision: str = "float64",
 ) -> str:
@@ -90,7 +92,6 @@ def _key_string(
         f"gpu={gpu!r}",
         f"config={config!r}",
         f"tile={tile}",
-        f"backend={backend_name}",
         f"workers={workers}",
     ]
     if precision != "float64":
@@ -378,7 +379,7 @@ class PlanDiskCache:
         prec = resolve_precision(precision)
         key = _key_string(
             grid_shape, kernel, fused_steps, boundary, gpu, config,
-            tile, resolved.name, workers, prec,
+            tile, workers, prec,
         )
         stored = self.get(key, prec)
         if stored is not None:

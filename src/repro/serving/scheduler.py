@@ -22,7 +22,7 @@ it lives inside the asyncio event loop, which serialises access.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from ..errors import ServingError
 
@@ -119,18 +119,6 @@ class DeficitRoundRobin:
         return out
 
     # ------------------------------------------------------------- introspect
-
-    def heads(self) -> Iterator[Any]:
-        """The head-of-line item of every backlogged tenant.
-
-        Per-tenant queues are FIFO, so the oldest pending request overall
-        is always among these — the batcher derives its deadline clock
-        from the minimum submit time here.
-        """
-        for tenant in self._active:
-            queue = self._tenants[tenant].queue
-            if queue:
-                yield queue[0][0]
 
     def pending(self, tenant: str | None = None) -> int:
         """Queued request count, total or for one tenant."""

@@ -486,7 +486,7 @@ class OnlineTuner:
         Once :attr:`TunerPolicy.batch_min_samples` observations exist for
         at least two distinct sizes, the size with the lowest mean
         per-grid service time is fixed as the tuned batch target and
-        persisted; until then the server's EWMA sizing rules alone.
+        persisted; until then the server's ``max_batch`` rules alone.
         """
         if size < 1 or per_grid_s <= 0.0:
             return

@@ -289,7 +289,7 @@ class TestCacheIsolation:
         cache.warm_plan((128,), k, fused_steps=4, precision="float32")
         key = _key_string(
             (128,), k, 4, "periodic", A100, StreamlineConfig(), None,
-            "numpy", None, "float32",
+            None, "float32",
         )
         stored = cache.get(key, "float32")
         assert stored is not None
@@ -447,7 +447,7 @@ class TestServingRouting:
             (128,), kz.heat_1d(), fused_steps=4, precision="float64"
         )
         tel = Telemetry()
-        cfg = ServingConfig(deadline_ms=5.0, max_batch=4)
+        cfg = ServingConfig(max_batch=4)
 
         async def main():
             async with StencilServer(plan, cfg, telemetry=tel) as srv:

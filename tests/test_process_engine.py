@@ -114,21 +114,28 @@ class TestBitIdentity:
 
     def test_telemetry_merge(self, rng):
         plan = _plan(GEOMETRIES[0])
-        eng = ProcessEngine(plan.segments, 2)
-        try:
-            tel = Telemetry()
-            eng.run(rng.standard_normal(256), 3, telemetry=tel)
+        x = rng.standard_normal(256)
+        # The pooled processes and the inline deterministic mode count alike.
+        for deterministic in (False, True):
+            eng = ProcessEngine(plan.segments, 2, deterministic=deterministic)
+            try:
+                tel = Telemetry()
+                eng.run(x, 3, telemetry=tel)
+            finally:
+                eng.close()
             snap = tel.snapshot()
             c = snap["counters"]
             assert c["applications"] == 3
             assert c["process_tasks"] == 2
+            # One logical FFT batch per application, whatever the rank
+            # count; the per-rank work is shard_tasks.
+            assert c["fft_batches"] == 3
+            assert c["shard_tasks"] == 2 * 3
             assert c["hbm_round_trips_saved"] == 2
             # Per-rank restricted exchanges tile the full exchange.
             ex = plan.segments.exchange_plan("gather")
             assert c["halo_points_exchanged"] == 2 * ex.stale_points
             assert any("exchange" in k for k in snap["spans"])
-        finally:
-            eng.close()
 
 
 class TestChooseProcesses:
@@ -239,8 +246,12 @@ class TestPlanIntegration:
         # One full application cannot amortise process dispatch.
         assert "process_tasks" not in tel.snapshot()["counters"]
 
-    def test_backend_spec_roundtrip(self):
+    def test_backend_spec_roundtrip(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert backend_spec(None) == "numpy"
+        # None resolves like a plan's backend: the environment decides.
+        monkeypatch.setenv(BACKEND_ENV, "scipy")
+        assert backend_spec(None) == "scipy"
         assert backend_spec("scipy:2") == "scipy:2"
         assert backend_spec(ScipyFFTBackend(workers=3)) == "scipy:3"
 

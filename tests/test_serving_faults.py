@@ -12,6 +12,7 @@ under repeated worker crashes then climbing back after the cooldown.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ class TestValidation:
     def test_nonfinite_and_misshapen_grids_refused(self, rng):
         async def body():
             plan = _plan()
-            async with StencilServer(plan, ServingConfig(deadline_ms=5.0)) as srv:
+            async with StencilServer(plan, ServingConfig()) as srv:
                 with pytest.raises(ServingError, match="non-finite"):
                     srv.submit_nowait(np.full(SHAPE, np.nan), 4)
                 with pytest.raises(ServingError, match="shape"):
@@ -54,7 +55,7 @@ class TestValidation:
     def test_step_ceiling(self, rng):
         async def body():
             plan = _plan()
-            cfg = ServingConfig(deadline_ms=5.0, max_steps=10)
+            cfg = ServingConfig(max_steps=10)
             async with StencilServer(plan, cfg) as srv:
                 with pytest.raises(ServingError, match="ceiling"):
                     srv.submit_nowait(rng.normal(size=SHAPE), 100)
@@ -66,7 +67,7 @@ class TestValidation:
     def test_validation_can_be_disabled(self, rng):
         async def body():
             plan = _plan()
-            cfg = ServingConfig(deadline_ms=5.0, validate_requests=False)
+            cfg = ServingConfig(validate_requests=False)
             async with StencilServer(plan, cfg) as srv:
                 # No content gate: the NaN grid is admitted and served
                 # (garbage in, garbage out — the pre-isolation contract).
@@ -96,26 +97,26 @@ class TestRequestDeadline:
     def test_expiry_fails_only_the_expired_request(self, rng):
         async def body():
             plan = _plan()
-            # Batch launch waits deadline_ms=200 for fill; the request's
-            # own deadline (30 ms) fires first.
-            cfg = ServingConfig(
-                deadline_ms=200.0, max_batch=64, request_timeout_ms=30.0
-            )
+            cfg = ServingConfig(request_timeout_ms=30.0)
             async with StencilServer(plan, cfg) as srv:
                 f = srv.submit_nowait(rng.normal(size=SHAPE), 4)
+                # Hold the event loop past the 30 ms timeout, as a long
+                # inline batch would: the request stays queued, and its
+                # expiry lands in the turn the batch loop yields before
+                # popping, so it is never executed.
+                time.sleep(0.06)
                 (r,) = await asyncio.gather(f, return_exceptions=True)
                 assert isinstance(r, ServingError) and "expired" in str(r)
                 assert srv.expired == 1
                 assert srv.health()["expired"] == 1
+            assert srv.served == 0  # stop() drained: it never ran
 
         _run(body())
 
     def test_served_request_cancels_its_timer(self, rng):
         async def body():
             plan = _plan()
-            cfg = ServingConfig(
-                deadline_ms=5.0, max_batch=1, request_timeout_ms=10_000.0
-            )
+            cfg = ServingConfig(max_batch=1, request_timeout_ms=10_000.0)
             async with StencilServer(plan, cfg) as srv:
                 g = rng.normal(size=SHAPE)
                 out = await srv.submit(g, 4)
@@ -131,7 +132,6 @@ class TestBisection:
             plan = _plan()
             tel = Telemetry()
             cfg = ServingConfig(
-                deadline_ms=10.0,
                 max_batch=8,
                 max_execution_retries=0,
                 guards=GuardPolicy(),
@@ -208,7 +208,6 @@ class TestBreaker:
             plan = _plan()
             tel = Telemetry()
             cfg = ServingConfig(
-                deadline_ms=5.0,
                 breaker_threshold=2,
                 breaker_cooldown_s=0.2,
                 max_execution_retries=3,
@@ -256,7 +255,6 @@ class TestBreaker:
         async def body():
             plan = _plan()
             cfg = ServingConfig(
-                deadline_ms=10.0,
                 max_batch=4,
                 max_execution_retries=0,
                 guards=GuardPolicy(),
@@ -279,7 +277,7 @@ class TestHealthSnapshot:
     def test_health_is_readonly_and_complete(self, rng):
         async def body():
             plan = _plan()
-            async with StencilServer(plan, ServingConfig(deadline_ms=5.0)) as srv:
+            async with StencilServer(plan, ServingConfig()) as srv:
                 g = rng.normal(size=SHAPE)
                 await srv.submit(g, 4)
                 h = srv.health()
