@@ -21,10 +21,10 @@ geometries:
   it replaces, amortised over a 64-application workload;
 * **bit-identity** — every configuration this benchmark measures produces
   output bit-identical (``np.array_equal``) to *that configuration's own
-  serial run* (same fusion depth, same backend, workers=1, no residency,
-  no processes).  Different depths/backends legitimately differ from each
+  serial run* (same fusion depth, same backend, workers=1, no
+  residency).  Different depths/backends legitimately differ from each
   other at the 1e-15 level — the contract is that no *execution path*
-  (sharding, residency, process engine) perturbs numerics.
+  (sharding, residency) perturbs numerics.
 
 Timing is interleaved (sides sampled alternately, order flipping every
 round) and every gated ratio is the **median of per-round ratios**, so
@@ -139,135 +139,125 @@ def bench_case(
     # the measured configurations.
     cands = candidate_space(plan, overhead_steps)
     survivors = prune_candidates(plan, cands, overhead_steps, policy.keep)
-    opened: list[FlashFFTStencil] = []
 
     def runner(cand, apps):
         target = tuner.plan_for(plan, cand)
-        if cand.processes > 1:
-            opened.append(target)
         steps = cand.fused_steps * apps
         return lambda: target.run(
-            x, steps, resident=cand.resident, processes=cand.processes,
+            x, steps, resident=cand.resident, telemetry=NULL_TELEMETRY,
+            tune=False,
+        )
+
+    _quiesce()
+    sweep = _sweep_ms(
+        [(c.label(), runner(c, sweep_apps)) for c in survivors], reps
+    )
+    # Per-step normalisation: candidates run sweep_apps applications at
+    # their *own* depth, so wall ms is divided by simulated steps.
+    per_step = {
+        c.label(): sweep[c.label()] / (c.fused_steps * sweep_apps)
+        for c in survivors
+    }
+    best_label = min(per_step, key=per_step.get)
+
+    # ---- tuner quality: its pick vs the hand-tuned best ------------
+    tuned = tuner.tune(plan, x, overhead_steps)
+    tuned_label = tuned.label()
+    quality = per_step[tuned_label] / per_step[best_label]
+    if tolerance is not None and quality > 1.0 + tolerance:
+        # The sweep medians and the tuner's own trials are separate
+        # samples; re-sweep before declaring a miss.
+        for _ in range(attempts - 1):
+            _quiesce()
+            sweep = _sweep_ms(
+                [(c.label(), runner(c, sweep_apps)) for c in survivors], reps
+            )
+            per_step = {
+                c.label(): sweep[c.label()] / (c.fused_steps * sweep_apps)
+                for c in survivors
+            }
+            best_label = min(per_step, key=per_step.get)
+            quality = min(quality, per_step[tuned_label] / per_step[best_label])
+            if quality <= 1.0 + tolerance:
+                break
+        if quality > 1.0 + tolerance:
+            failures.append(
+                f"{name}: tuned config {tuned_label} is {quality:.3f}x the "
+                f"hand-tuned best {best_label} (tolerance {1 + tolerance:.2f}x)"
+            )
+
+    # ---- never slower than static (warm tuner, interleaved) --------
+    static_fn = runner(survivors[0], sweep_apps)
+    tuner_fn = lambda: tuner.run(  # noqa: E731 - timed closure
+        plan, x, fused * sweep_apps, telemetry=NULL_TELEMETRY
+    )
+    vs_static = 0.0
+    static_ms = tuned_ms = 0.0
+    static_attempts = 0
+    for static_attempts in range(1, attempts + 1):
+        _quiesce()
+        a, b, r = _interleaved_ms(static_fn, tuner_fn, reps, 1)
+        if r > vs_static:
+            static_ms, tuned_ms, vs_static = a, b, r
+        if min_vs_static is None or vs_static >= min_vs_static:
+            break
+    if min_vs_static is not None and vs_static < min_vs_static:
+        failures.append(
+            f"{name}: warm tuner runs at {vs_static:.3f}x static "
+            f"(floor {min_vs_static:.2f}x)"
+        )
+
+    # ---- tuning overhead, amortised over 64 applications -----------
+    # A fresh tuner per attempt: the cost being gated is the one-time
+    # search (trial applications + warm-ups) a cold process pays.
+    overhead = float("inf")
+    overhead_attempts = 0
+    for overhead_attempts in range(1, attempts + 1):
+        _quiesce()
+        fresh = OnlineTuner(policy=policy)
+        order = (
+            (lambda: plan.run(x, overhead_steps, tune=False),
+             lambda: fresh.run(plan, x, overhead_steps))
+            if overhead_attempts % 2
+            else (lambda: fresh.run(plan, x, overhead_steps),
+                  lambda: plan.run(x, overhead_steps, tune=False))
+        )
+        t: dict[int, float] = {}
+        for which, fn in enumerate(order):
+            t0 = time.perf_counter()
+            fn()
+            t[which] = time.perf_counter() - t0
+        static_s = t[0] if overhead_attempts % 2 else t[1]
+        tuned_s = t[1] if overhead_attempts % 2 else t[0]
+        overhead = min(overhead, tuned_s / static_s - 1.0)
+        if max_overhead is None or overhead <= max_overhead:
+            break
+    if max_overhead is not None and overhead > max_overhead:
+        failures.append(
+            f"{name}: first tuned run costs {100 * overhead:.1f}% over "
+            f"static amortised across {OVERHEAD_APPS} applications "
+            f"(limit {100 * max_overhead:.0f}%)"
+        )
+
+    # ---- bit-identity: each measured config vs its own serial run --
+    ident_steps = 2 * max(c.fused_steps for c in survivors)
+    ident_steps += max(1, fused // 2)  # remainder tail
+    identity_checked = 0
+    for cand in survivors:
+        serial = replace(cand, workers=1, resident=False)
+        want = tuner.plan_for(plan, serial).run(
+            x, ident_steps, telemetry=NULL_TELEMETRY, tune=False
+        )
+        got = tuner.plan_for(plan, cand).run(
+            x, ident_steps, resident=cand.resident,
             telemetry=NULL_TELEMETRY, tune=False,
         )
-
-    try:
-        _quiesce()
-        sweep = _sweep_ms(
-            [(c.label(), runner(c, sweep_apps)) for c in survivors], reps
-        )
-        # Per-step normalisation: candidates run sweep_apps applications at
-        # their *own* depth, so wall ms is divided by simulated steps.
-        per_step = {
-            c.label(): sweep[c.label()] / (c.fused_steps * sweep_apps)
-            for c in survivors
-        }
-        best_label = min(per_step, key=per_step.get)
-
-        # ---- tuner quality: its pick vs the hand-tuned best ------------
-        tuned = tuner.tune(plan, x, overhead_steps)
-        tuned_label = tuned.label()
-        quality = per_step[tuned_label] / per_step[best_label]
-        if tolerance is not None and quality > 1.0 + tolerance:
-            # The sweep medians and the tuner's own trials are separate
-            # samples; re-sweep before declaring a miss.
-            for _ in range(attempts - 1):
-                _quiesce()
-                sweep = _sweep_ms(
-                    [(c.label(), runner(c, sweep_apps)) for c in survivors], reps
-                )
-                per_step = {
-                    c.label(): sweep[c.label()] / (c.fused_steps * sweep_apps)
-                    for c in survivors
-                }
-                best_label = min(per_step, key=per_step.get)
-                quality = min(quality, per_step[tuned_label] / per_step[best_label])
-                if quality <= 1.0 + tolerance:
-                    break
-            if quality > 1.0 + tolerance:
-                failures.append(
-                    f"{name}: tuned config {tuned_label} is {quality:.3f}x the "
-                    f"hand-tuned best {best_label} (tolerance {1 + tolerance:.2f}x)"
-                )
-
-        # ---- never slower than static (warm tuner, interleaved) --------
-        static_fn = runner(survivors[0], sweep_apps)
-        tuner_fn = lambda: tuner.run(  # noqa: E731 - timed closure
-            plan, x, fused * sweep_apps, telemetry=NULL_TELEMETRY
-        )
-        vs_static = 0.0
-        static_ms = tuned_ms = 0.0
-        static_attempts = 0
-        for static_attempts in range(1, attempts + 1):
-            _quiesce()
-            a, b, r = _interleaved_ms(static_fn, tuner_fn, reps, 1)
-            if r > vs_static:
-                static_ms, tuned_ms, vs_static = a, b, r
-            if min_vs_static is None or vs_static >= min_vs_static:
-                break
-        if min_vs_static is not None and vs_static < min_vs_static:
+        identity_checked += 1
+        if not np.array_equal(got, want):
             failures.append(
-                f"{name}: warm tuner runs at {vs_static:.3f}x static "
-                f"(floor {min_vs_static:.2f}x)"
+                f"{name} {cand.label()}: output is not bit-identical to "
+                "this configuration's own serial run"
             )
-
-        # ---- tuning overhead, amortised over 64 applications -----------
-        # A fresh tuner per attempt: the cost being gated is the one-time
-        # search (trial applications + warm-ups) a cold process pays.
-        overhead = float("inf")
-        overhead_attempts = 0
-        for overhead_attempts in range(1, attempts + 1):
-            _quiesce()
-            fresh = OnlineTuner(policy=policy)
-            order = (
-                (lambda: plan.run(x, overhead_steps, tune=False),
-                 lambda: fresh.run(plan, x, overhead_steps))
-                if overhead_attempts % 2
-                else (lambda: fresh.run(plan, x, overhead_steps),
-                      lambda: plan.run(x, overhead_steps, tune=False))
-            )
-            t: dict[int, float] = {}
-            for which, fn in enumerate(order):
-                t0 = time.perf_counter()
-                fn()
-                t[which] = time.perf_counter() - t0
-            static_s = t[0] if overhead_attempts % 2 else t[1]
-            tuned_s = t[1] if overhead_attempts % 2 else t[0]
-            overhead = min(overhead, tuned_s / static_s - 1.0)
-            if max_overhead is None or overhead <= max_overhead:
-                break
-        if max_overhead is not None and overhead > max_overhead:
-            failures.append(
-                f"{name}: first tuned run costs {100 * overhead:.1f}% over "
-                f"static amortised across {OVERHEAD_APPS} applications "
-                f"(limit {100 * max_overhead:.0f}%)"
-            )
-
-        # ---- bit-identity: each measured config vs its own serial run --
-        ident_steps = 2 * max(c.fused_steps for c in survivors)
-        ident_steps += max(1, fused // 2)  # remainder tail
-        identity_checked = 0
-        for cand in survivors:
-            serial = replace(cand, workers=1, resident=False, processes=1)
-            want = tuner.plan_for(plan, serial).run(
-                x, ident_steps, telemetry=NULL_TELEMETRY, tune=False
-            )
-            target = tuner.plan_for(plan, cand)
-            if cand.processes > 1:
-                opened.append(target)
-            got = target.run(
-                x, ident_steps, resident=cand.resident,
-                processes=cand.processes, telemetry=NULL_TELEMETRY, tune=False,
-            )
-            identity_checked += 1
-            if not np.array_equal(got, want):
-                failures.append(
-                    f"{name} {cand.label()}: output is not bit-identical to "
-                    "this configuration's own serial run"
-                )
-    finally:
-        for target in opened:
-            target.close_processes()
 
     return {
         "name": name,

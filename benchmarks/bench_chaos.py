@@ -1,28 +1,19 @@
 """Chaos benchmark: deterministic fault injection under live serving load.
 
-The fault-tolerance acceptance gate for the process-failure recovery
-layer.  Three segments, one report (``BENCH_chaos.json``):
+The fault-isolation acceptance gate for the serving layer.  Two
+segments, one report (``BENCH_chaos.json``):
 
-1. **Engine chaos matrix** — each process-level fault class (rank crash
-   mid-FFT, rank crash at the halo exchange, rank hang, shared-memory
-   halo corruption, chunk crash in the batched scale-out path) is
-   injected deterministically and must be recovered *bit-identically* to
-   the serial reference, with telemetry counters proving which recovery
-   path ran, within a bounded recovery time.
-2. **Open-loop serving chaos** — a request stream is driven through a
+1. **Open-loop serving chaos** — a request stream is driven through a
    live :class:`~repro.serving.StencilServer` while poisoned requests
-   (admission-passing grids that overflow mid-run) and real worker
-   crashes (``os._exit`` in a scale-out chunk) are injected.  Gates:
+   (admission-passing grids that overflow mid-run) are injected.  Gates:
    availability (>= 99% of healthy requests answered), correctness
    (every answered response ``np.array_equal`` to the serial reference),
-   every poisoned request failed in isolation, and no shared-memory
-   segment leaked.
-3. **Overhead gate** — the fault-tolerance plumbing must be free when
+   and every poisoned request failed in isolation by bisection.
+2. **Overhead gate** — the fault-tolerance plumbing must be free when
    unused, gated with the ``bench_robustness`` interleaved best-of <= 10%
-   methodology: ``plan.run`` with a guards-off robustness config (which
-   now threads injector/rank-timeout plumbing into every chunk) vs the
-   plain ``robustness=None, processes=None`` path, and ``serve_batch``
-   with output guards on vs off.
+   methodology: ``plan.run`` with a guards-off robustness config vs the
+   plain ``robustness=None`` path, and ``serve_batch`` with output guards
+   on vs off.
 
 Run standalone::
 
@@ -35,7 +26,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import time
 from pathlib import Path
 
@@ -43,17 +33,9 @@ import numpy as np
 
 from repro.core import kernels as kz
 from repro.core.plan import FlashFFTStencil, plan_cache_clear
-from repro.distributed import ProcessEngine, run_many_processes
-from repro.errors import WorkerCrashError
 from repro.observability import Telemetry
 from repro.parallel.batch import serve_batch
-from repro.robustness import (
-    GUARDS_OFF,
-    FaultInjector,
-    FaultSpec,
-    GuardPolicy,
-    RobustnessConfig,
-)
+from repro.robustness import GUARDS_OFF, GuardPolicy, RobustnessConfig
 from repro.serving import ServingConfig, StencilServer
 
 #: Overhead ceiling for the plain serving path vs raw ``run_many``
@@ -61,8 +43,8 @@ from repro.serving import ServingConfig, StencilServer
 OVERHEAD_CEILING = 1.10
 OVERHEAD_CEILING_QUICK = 1.35
 
-#: Every injected fault must be fully recovered within this wall-time
-#: budget (includes hang-detection waits, pool teardown, and the redo).
+#: The whole serving chaos run, bisections included, must finish within
+#: this wall-time budget.
 RECOVERY_CEILING_MS = 5_000.0
 RECOVERY_CEILING_MS_QUICK = 10_000.0
 
@@ -79,8 +61,7 @@ SERVE_STEPS = 4
 #: Open-loop requests arrive in bursts of this many.  The server
 #: dispatches as soon as it is idle, so only requests that arrive
 #: together (or during a running batch) share a batch; bursts make the
-#: multi-request batches that the injected scale-out crash targets and
-#: that bisection must undo.
+#: multi-request batches that bisection must undo.
 SERVE_BURST = 4
 
 
@@ -95,152 +76,7 @@ def _engine_plan() -> FlashFFTStencil:
     )
 
 
-def _shm_entries() -> set:
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platform
-        return set()
-
-
 # ------------------------------------------------------------ segment 1
-
-
-def chaos_matrix(failures: list[str], recovery_ceiling_ms: float) -> list[dict]:
-    """Deterministic engine-level fault scenarios, each gated on
-    bit-identity, counter evidence, and bounded recovery time."""
-    rng = np.random.default_rng(0xC4A05)
-    plan = _engine_plan()
-    x = rng.standard_normal(ENGINE_SHAPE)
-    want2 = plan.run(x, 2 * ENGINE_FUSED)
-    rows: list[dict] = []
-
-    def record(scenario, fn, evidence):
-        tel = Telemetry()
-        before = _shm_entries()
-        t0 = time.perf_counter()
-        try:
-            ok = bool(fn(tel))
-        except Exception as exc:  # noqa: BLE001 - report, don't abort
-            ok = False
-            failures.append(f"{scenario}: raised {type(exc).__name__}: {exc}")
-        ms = (time.perf_counter() - t0) * 1e3
-        leaked = sorted(_shm_entries() - before)
-        counters = {k: tel.counter(k) for k in evidence}
-        row = {
-            "scenario": scenario,
-            "recovered": ok,
-            "recovery_ms": round(ms, 2),
-            "counters": counters,
-            "shm_leaked": leaked,
-        }
-        rows.append(row)
-        if not ok:
-            failures.append(f"{scenario}: recovery produced a wrong answer")
-        if any(counters[k] < 1 for k in evidence):
-            failures.append(f"{scenario}: no counter evidence ({counters})")
-        if ms > recovery_ceiling_ms:
-            failures.append(
-                f"{scenario}: recovery took {ms:.0f} ms "
-                f"> {recovery_ceiling_ms:.0f} ms"
-            )
-        if leaked:
-            failures.append(f"{scenario}: leaked shared memory {leaked}")
-        return row
-
-    def crash(stage):
-        def fn(tel):
-            eng = ProcessEngine(plan.segments, 2)
-            try:
-                inj = FaultInjector(
-                    [FaultSpec(stage=stage, kind="rank_crash", rank=0)]
-                )
-                got = eng.run(x, 2, telemetry=tel, injector=inj)
-                return np.array_equal(got, want2)
-            finally:
-                eng.close()
-
-        return fn
-
-    record("rank_crash@fuse", crash("fuse"), ("rank_crashes", "rank_recoveries"))
-    record(
-        "rank_crash@exchange",
-        crash("exchange"),
-        ("rank_crashes", "rank_recoveries"),
-    )
-
-    def hang(tel):
-        eng = ProcessEngine(plan.segments, 2, rank_timeout=0.5)
-        try:
-            inj = FaultInjector(
-                [FaultSpec(stage="fuse", kind="rank_hang", rank=1)]
-            )
-            got = eng.run(x, 2, telemetry=tel, injector=inj)
-            return np.array_equal(got, want2)
-        finally:
-            eng.close()
-
-    record("rank_hang", hang, ("rank_hangs", "rank_recoveries"))
-
-    def halo(tel):
-        # Corrupt a halo row in shared memory mid-exchange; the *existing*
-        # numerical guards must catch it and the stage retry heal it —
-        # the layered-defence claim.
-        hp = FlashFFTStencil(
-            (96, 96), kz.heat_2d(), fused_steps=2, tile=(16, 16), workers=1
-        )
-        hx = rng.standard_normal((96, 96))
-        rb = RobustnessConfig(
-            guards=GuardPolicy(),
-            injector=FaultInjector(
-                [FaultSpec(stage="exchange", kind="halo_corrupt", rank=0)]
-            ),
-        )
-        try:
-            got = hp.run(hx, 8, robustness=rb, telemetry=tel, processes=2)
-            return np.array_equal(got, hp.run(hx, 8))
-        finally:
-            hp.close_processes()
-
-    record("halo_corrupt", halo, ("guard_violations", "stage_retries"))
-
-    def chunk_crash(tel):
-        grids = [rng.standard_normal(ENGINE_SHAPE) for _ in range(4)]
-        want = np.stack([plan.run(g, 2 * ENGINE_FUSED) for g in grids])
-        inj = FaultInjector(
-            [FaultSpec(stage="fuse", kind="rank_crash", apply_index=2, rank=1)]
-        )
-        got = run_many_processes(
-            plan, grids, 2 * ENGINE_FUSED, 2, telemetry=tel, injector=inj
-        )
-        return np.array_equal(got, want)
-
-    record(
-        "chunk_crash@run_many",
-        chunk_crash,
-        ("chunk_crashes", "chunk_recoveries"),
-    )
-
-    def escalation(tel):
-        eng = ProcessEngine(plan.segments, 2, max_rank_restarts=0)
-        try:
-            inj = FaultInjector(
-                [FaultSpec(stage="fuse", kind="rank_crash", rank=0)]
-            )
-            try:
-                eng.run(x, 2, telemetry=tel, injector=inj)
-            except WorkerCrashError as e:
-                return e.ranks == (0,) and e.restarts == 1
-            return False
-        finally:
-            eng.close()
-
-    record(
-        "escalation@budget_0", escalation, ("rank_crash_escalations",)
-    )
-    return rows
-
-
-# ------------------------------------------------------------ segment 2
 
 
 async def _drive_open_loop(
@@ -278,7 +114,7 @@ async def _drive_open_loop(
 def serving_chaos(
     n_requests: int, failures: list[str], recovery_ceiling_ms: float
 ) -> dict:
-    """Open-loop load with poisoned requests + a real worker crash."""
+    """Open-loop load with poisoned requests."""
     rng = np.random.default_rng(0x0DD5)
     plan = FlashFFTStencil(
         SERVE_SHAPE, kz.heat_2d(), fused_steps=SERVE_FUSED, workers=1
@@ -287,27 +123,17 @@ def serving_chaos(
     refs = [plan.run(g, SERVE_STEPS) for g in healthy]
     poison = np.full(SERVE_SHAPE, 1e300)  # admission-passing, overflows live
     poison_at = {n_requests // 3, 2 * n_requests // 3}
-    # One real rank crash (os._exit inside a scale-out chunk) armed for
-    # the first multi-chunk batch; processes=2 routes batches of >= 2
-    # requests through the shared-memory scale-out path.
-    injector = FaultInjector(
-        [FaultSpec(stage="fuse", kind="rank_crash", rank=0)]
-    )
     tel = Telemetry()
     cfg = ServingConfig(
         max_batch=8,
-        processes=2,
         guards=GuardPolicy(),
-        max_execution_retries=2,
-        retry_backoff_ms=0.5,
         request_timeout_ms=30_000.0,
         inline_below_ms=0.0,
     )
-    before = _shm_entries()
     t0 = time.perf_counter()
 
     async def body():
-        async with StencilServer(plan, cfg, telemetry=tel, injector=injector) as srv:
+        async with StencilServer(plan, cfg, telemetry=tel) as srv:
             answers, perrs = await _drive_open_loop(
                 srv, healthy, poison_at, poison, SERVE_STEPS, gap_s=0.002
             )
@@ -315,7 +141,6 @@ def serving_chaos(
 
     answers, perrs, health = asyncio.run(body())
     wall_ms = (time.perf_counter() - t0) * 1e3
-    leaked = sorted(_shm_entries() - before)
 
     answered = [
         (g, r) for g, r in zip(healthy, answers) if not isinstance(r, Exception)
@@ -346,14 +171,10 @@ def serving_chaos(
             for k in (
                 "serving_bisections",
                 "serving_poisoned_requests",
-                "serving_retries",
-                "chunk_crashes",
-                "chunk_recoveries",
                 "admission_invalid",
                 "requests_expired",
             )
         },
-        "shm_leaked": leaked,
     }
     if availability < AVAILABILITY_FLOOR:
         failures.append(
@@ -368,18 +189,14 @@ def serving_chaos(
         failures.append("a poisoned request was answered instead of failed")
     if report["counters"]["serving_poisoned_requests"] < len(perrs):
         failures.append("bisection did not isolate every poisoned request")
-    if report["counters"]["chunk_crashes"] < 1:
-        failures.append("injected worker crash never fired in the scale-out path")
     if wall_ms > max(recovery_ceiling_ms, 1e3 * 0.01 * len(healthy) * 10):
         failures.append(
             f"serving chaos run took {wall_ms:.0f} ms (unbounded recovery?)"
         )
-    if leaked:
-        failures.append(f"serving chaos leaked shared memory: {leaked}")
     return report
 
 
-# ------------------------------------------------------------ segment 3
+# ------------------------------------------------------------ segment 2
 
 
 def _time_interleaved_ms(fns: dict, reps: int, warmup: int) -> dict:
@@ -402,9 +219,8 @@ def bench_overhead(reps: int, warmup: int, ceiling: float, failures: list[str]) 
 
     Two interleaved ratios, both gated at ``ceiling``:
 
-    * ``plan.run`` with a guards-off robustness config (exercising the
-      new injector/rank-timeout threading through every chunk) vs the
-      plain ``robustness=None, processes=None`` fast path;
+    * ``plan.run`` with a guards-off robustness config vs the plain
+      ``robustness=None`` fast path;
     * ``serve_batch`` with output guards enabled vs disabled (the one
       per-batch check the serving isolation path added).
     """
@@ -491,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
 
     failures: list[str] = []
     plan_cache_clear()
-    matrix = chaos_matrix(failures, recovery_ceiling)
     serving = serving_chaos(n_requests, failures, recovery_ceiling)
     overhead = bench_overhead(reps, 2 if args.quick else 5, ceiling, failures)
 
@@ -500,20 +315,11 @@ def main(argv: list[str] | None = None) -> int:
         "quick": bool(args.quick),
         "availability_floor": AVAILABILITY_FLOOR,
         "recovery_ceiling_ms": recovery_ceiling,
-        "chaos_matrix": matrix,
         "serving": serving,
         "overhead": overhead,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
-    hdr = f"{'scenario':<22}{'recovered':>10}{'ms':>9}"
-    print(hdr)
-    print("-" * len(hdr))
-    for row in matrix:
-        print(
-            f"{row['scenario']:<22}{str(row['recovered']):>10}"
-            f"{row['recovery_ms']:>9.1f}"
-        )
     print(
         f"serving: {serving['answered']}/{serving['requests_healthy']} answered "
         f"({serving['availability']:.2%}), "

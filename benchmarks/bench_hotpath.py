@@ -10,8 +10,8 @@ measured margin — a regression gate for the engine's hottest loop.
 Each workload additionally runs once with a :class:`repro.observability.
 Telemetry` sink attached: the per-stage breakdown (split/fuse/stitch/
 boundary_fix/tail), counter-vs-geometry cross-check, cache stats, and the
-telemetry-enabled overhead ratio land in the report and in a separate
-``BENCH_telemetry.json``.
+telemetry-enabled overhead ratio land in each workload's ``telemetry``
+block of the report.
 
 Run standalone::
 
@@ -220,11 +220,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_hotpath.json",
     )
-    ap.add_argument(
-        "--telemetry-output",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_telemetry.json",
-    )
     args = ap.parse_args(argv)
     reps = args.reps if args.reps is not None else (3 if args.quick else 15)
     if reps < 1:
@@ -253,26 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
-    telemetry_report = {
-        "benchmark": "telemetry",
-        "reps": reps,
-        "warmup": warmup,
-        "plan_cache": plan_cache_info(),
-        "spectrum_cache": spectrum_cache_info(),
-        "workloads": [
-            {
-                "name": r["name"],
-                "ndim": r["ndim"],
-                "grid_shape": r["grid_shape"],
-                "fused_steps": r["fused_steps"],
-                "total_steps": r["run"]["total_steps"],
-                **r["telemetry"],
-            }
-            for r in results
-        ],
-    }
-    args.telemetry_output.write_text(json.dumps(telemetry_report, indent=2) + "\n")
-
     hdr = f"{'workload':<12}{'ndim':>5}{'apply x':>9}{'run x':>8}{'ns/pt':>9}{'GSt/s':>9}"
     print(hdr)
     print("-" * len(hdr))
@@ -283,7 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{r['run']['fast']['gstencil_per_s']:>9.3f}"
         )
     print(f"wrote {args.output}")
-    print(f"wrote {args.telemetry_output}")
 
     failures = [
         f"{r['name']}: run speedup {r['run']['speedup']:.2f} < {args.min_speedup}"

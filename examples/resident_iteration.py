@@ -42,12 +42,12 @@ def main() -> None:
 
     # ---- run both engines with telemetry attached ------------------
     tel_base = Telemetry()
-    # resident=False / processes=1 pin the baseline's serial stitched
-    # path even under REPRO_RESIDENT=1 or REPRO_PROCS=N (the span-shape
-    # assertions below describe that specific engine).
-    want = plan.run(x, STEPS, telemetry=tel_base, resident=False, processes=1)
+    # resident=False pins the baseline's serial stitched path even under
+    # REPRO_RESIDENT=1 (the span-shape assertions below describe that
+    # specific engine).
+    want = plan.run(x, STEPS, telemetry=tel_base, resident=False)
     tel_res = Telemetry()
-    got = plan.run(x, STEPS, telemetry=tel_res, resident=True, processes=1)
+    got = plan.run(x, STEPS, telemetry=tel_res, resident=True)
 
     # Bit-identical, not approximately equal: the halo exchange copies
     # the very same values the stitch + re-split would have produced.

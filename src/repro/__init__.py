@@ -81,7 +81,6 @@ from .errors import (
     ReproError,
     ServingError,
     SimulationError,
-    WorkerCrashError,
 )
 from .gpusim import A100, H100, GPUSpec, gpu_by_name
 from .observability import NULL_TELEMETRY, NullTelemetry, Telemetry, telemetry_to_json
@@ -173,7 +172,6 @@ __all__ = [
     "ServingError",
     "ShardedExecutor",
     "SimulationError",
-    "WorkerCrashError",
     "StencilServer",
     "StencilKernel",
     "StreamlineConfig",

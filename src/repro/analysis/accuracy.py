@@ -285,19 +285,14 @@ class PrecisionRouter:
         *,
         telemetry=None,
         resident: bool | None = None,
-        processes: int | None = None,
     ) -> np.ndarray:
         """Route one (possibly multi-application) run through a tier."""
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         prec = self.route(total_steps, tolerance, tel)
-        if prec == "float32" and processes is not None and processes != 1:
-            # The shared-memory process engine is float64-only; an explicit
-            # multi-process request outranks the cheap tier.
-            prec = "float64"
         if prec == "float64":
             tel.count("precision_requests_f64")
             out = self._plan.variant("float64").run(
-                grid, total_steps, resident=resident, processes=processes
+                grid, total_steps, resident=resident
             )
             return out.astype(self._caller_dtype(grid), copy=False)
         tel.count("precision_requests_f32")

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..envutil import env_flag
-from ..errors import FaultInjected, NumericalError, PlanError, WorkerCrashError
+from ..errors import FaultInjected, NumericalError, PlanError
 from ..gpusim.occupancy import OccupancyReport, occupancy
 from ..gpusim.pipeline import overlap_throughput_factor
 from ..gpusim.roofline import KernelCost
@@ -49,7 +49,6 @@ from ..observability import NULL_TELEMETRY, Telemetry
 from ..parallel.arena import WorkspaceArena
 from ..parallel.backends import FFTBackend, get_backend
 from ..parallel.sharding import ShardedExecutor, choose_workers
-from ..robustness.faults import PROCESS_KINDS
 from ..robustness.guards import GuardPolicy, check_array
 from .autotune import TunedSegment, choose_segment_length, choose_tile_shape
 from .kernels import StencilKernel, spectrum_cache_info
@@ -441,7 +440,7 @@ class FlashFFTStencil:
         roughly half the memory traffic per fused application, ~``eps32``
         relative error per application; see TECHNIQUES.md §17).  ``None``
         consults ``$REPRO_DTYPE`` and defaults to ``"float64"``.  The TCU
-        emulation and the multi-process engine are float64-only.
+        emulation is float64-only.
     """
 
     def __init__(
@@ -497,9 +496,6 @@ class FlashFFTStencil:
         self._arena_enabled = bool(arena)
         self._arena_pool: list[WorkspaceArena] = []
         self._arena_lock = threading.Lock()
-        # ---- scale-out engine (lazy; perf state like the arena pool) --
-        self._proc_engine = None
-        self._proc_lock = threading.Lock()
         # ---- precision router (lazy; shared by apply/run/run_many) ----
         self._router = None
         self._router_lock = threading.Lock()
@@ -912,68 +908,6 @@ class FlashFFTStencil:
             )
         return bool(resident)
 
-    def _resolve_processes(self, processes: int | None, emulate_tcu: bool) -> int:
-        """Resolve the ``processes`` knob to an effective rank count.
-
-        ``None`` consults ``$REPRO_PROCS`` (small grids degrade to
-        serial); ``0`` autotunes; explicit ``N >= 1`` is honoured (clamped
-        to the first-axis tile count).  Like ``resident``, an *explicit*
-        multi-process request with ``emulate_tcu=True`` is a caller error,
-        while the env default silently falls back to serial — the emulated
-        pipeline runs whole window batches and has no exchange hook.
-        """
-        from ..distributed.engine import choose_processes
-
-        points = int(np.prod(self.grid_shape))
-        tiles = self.segments.num_segments[0]
-        if processes is None:
-            if emulate_tcu or self.precision != "float64":
-                # The shared-memory window batch is float64; the env
-                # default degrades reduced-precision plans to the
-                # thread/serial path rather than breaking a fleet switch.
-                return 1
-            return choose_processes(points, tiles, None)
-        if self.precision != "float64" and int(processes) == 0:
-            # Explicit autotune: degrade like the env default.
-            return 1
-        resolved = choose_processes(points, tiles, int(processes))
-        if resolved > 1 and emulate_tcu:
-            raise PlanError(
-                "processes > 1 is not supported with emulate_tcu=True: the "
-                "emulated TCU pipeline has no halo-refresh hook"
-            )
-        if resolved > 1 and self.precision != "float64":
-            raise PlanError(
-                "processes > 1 requires the float64 tier: the shared-memory "
-                f"process engine is double-precision only, plan is "
-                f"{self.precision}"
-            )
-        return resolved
-
-    def _process_engine(self, processes: int):
-        """The cached :class:`~repro.distributed.engine.ProcessEngine` for
-        ``processes`` ranks (worker pools persist across runs; a different
-        rank count closes the old pool and builds a new one)."""
-        from ..distributed.engine import ProcessEngine
-
-        with self._proc_lock:
-            eng = self._proc_engine
-            if eng is not None and (eng.closed or eng.processes != processes):
-                eng.close()
-                eng = self._proc_engine = None
-            if eng is None:
-                eng = self._proc_engine = ProcessEngine(
-                    self.segments, processes, backend=self._backend
-                )
-            return eng
-
-    def close_processes(self) -> None:
-        """Release this plan's worker pool and shared blocks, if any."""
-        with self._proc_lock:
-            if self._proc_engine is not None:
-                self._proc_engine.close()
-                self._proc_engine = None
-
     def _run_resident_block(
         self,
         grid: np.ndarray,
@@ -1052,7 +986,6 @@ class FlashFFTStencil:
         telemetry: Telemetry | None = None,
         robustness: "RobustnessConfig | None" = None,
         resident: bool | None = None,
-        processes: int | None = None,
         tolerance: float | None = None,
         tune: bool | None = None,
     ) -> np.ndarray:
@@ -1080,18 +1013,6 @@ class FlashFFTStencil:
         ``None`` (default) consults ``$REPRO_RESIDENT``; the remainder tail
         always runs through the existing path (its fusion depth differs).
 
-        ``processes`` scales the full applications out across worker
-        *processes* (:class:`~repro.distributed.engine.ProcessEngine`):
-        the global window batch lives in shared memory, each rank owns a
-        contiguous slab of window rows, and only cross-rank halo bands
-        move between applications — still bit-identical to serial.
-        ``None`` consults ``$REPRO_PROCS`` (small grids stay serial);
-        ``0`` autotunes from the visible CPUs; ``N >= 1`` is honoured.
-        The process path is inherently resident, so it supersedes the
-        ``resident`` flag for the full block; runs too short to amortise
-        dispatch (fewer than two full applications) degrade to the
-        thread/serial path.
-
         ``telemetry`` (optional) is threaded through every application (the
         remainder runs under a ``tail`` span) and, at the end, receives the
         current plan-cache and spectrum-cache statistics.
@@ -1109,14 +1030,14 @@ class FlashFFTStencil:
 
         ``tune`` opts the run into online autotuning
         (:class:`~repro.tuner.OnlineTuner`): the joint configuration —
-        fusion depth, tile, FFT backend, workers, residency, processes —
+        fusion depth, tile, FFT backend, workers, residency —
         is taken from the tuned-winner cache, searched with interleaved
         live trials on a miss, and the winner executed end to end.
         ``None`` (default) consults ``$REPRO_AUTOTUNE``, which silently
         yields to any explicitly pinned knob (``emulate_tcu``,
-        ``robustness``, ``tolerance``, explicit ``resident``/
-        ``processes``) — the established env-default convention — while
-        an *explicit* ``tune=True`` conflicts loudly with all of them.
+        ``robustness``, ``tolerance``, explicit ``resident``) — the
+        established env-default convention — while an *explicit*
+        ``tune=True`` conflicts loudly with all of them.
         """
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         if total_steps < 0:
@@ -1130,7 +1051,6 @@ class FlashFFTStencil:
                 and robustness is None
                 and tolerance is None
                 and resident is None
-                and processes is None
             )
         elif tune:
             if emulate_tcu or robustness is not None or tolerance is not None:
@@ -1139,11 +1059,11 @@ class FlashFFTStencil:
                     "robustness=, and tolerance= (they pin the execution "
                     "path)"
                 )
-            if resident is not None or processes is not None:
+            if resident is not None:
                 raise PlanError(
-                    "tune=True is incompatible with explicit resident=/"
-                    "processes=: they are tuner dimensions (pin them and "
-                    "drop tune, or let the tuner choose)"
+                    "tune=True is incompatible with explicit resident=: it "
+                    "is a tuner dimension (pin it and drop tune, or let the "
+                    "tuner choose)"
                 )
         if tune:
             from ..tuner import get_default_tuner
@@ -1161,52 +1081,21 @@ class FlashFFTStencil:
                 tolerance,
                 telemetry=tel,
                 resident=resident,
-                processes=processes,
             )
         use_resident = self._resolve_resident(resident, emulate_tcu)
-        use_procs = self._resolve_processes(processes, emulate_tcu)
         if robustness is not None:
             return self._run_robust(
-                grid,
-                total_steps,
-                emulate_tcu,
-                tel,
-                robustness,
-                use_resident,
-                use_procs,
+                grid, total_steps, emulate_tcu, tel, robustness, use_resident
             )
         cur = _as_grid(grid, self.dtype)
         full, rem = divmod(total_steps, self.fused_steps)
         if full == 0 and rem == 0:
             return cur.copy()
-        if use_procs > 1 and full >= 2:
-            # Scale-out block for the full applications; the remainder
-            # tail has a different window geometry and runs through the
-            # stitched path, exactly like the resident engine's tail.
-            cur = self._process_engine(use_procs).run(cur, full, telemetry=tel)
-            if rem:
-                tail = self._tail_plan(rem, tel)
-                with tel.span("tail"):
-                    cur, result = tail._apply_impl(cur, emulate_tcu, None, tel)
-                self._store_result(result)
-            if tel.enabled:
-                tel.record_cache("plan_cache", **plan_cache_info())
-                tel.record_cache("spectrum_cache", **spectrum_cache_info())
-            return cur
         if use_resident and full >= 2:
             # Resident block for the full applications; the remainder tail
-            # has a different window geometry, so it runs through the
-            # stitched path exactly as before.
+            # has a different window geometry, so it runs stitched.
             cur = self._run_resident_block(cur, full, tel)
-            if rem:
-                tail = self._tail_plan(rem, tel)
-                with tel.span("tail"):
-                    cur, result = tail._apply_impl(cur, emulate_tcu, None, tel)
-                self._store_result(result)
-            if tel.enabled:
-                tel.record_cache("plan_cache", **plan_cache_info())
-                tel.record_cache("spectrum_cache", **spectrum_cache_info())
-            return cur
+            return self._finish_run(cur, rem, emulate_tcu, tel)
         bufs = (
             np.empty(self.grid_shape, dtype=self.dtype),
             np.empty(self.grid_shape, dtype=self.dtype),
@@ -1216,12 +1105,24 @@ class FlashFFTStencil:
             cur, result = self._apply_impl(cur, emulate_tcu, bufs[which], tel)
             self._store_result(result)
             which ^= 1
+        return self._finish_run(cur, rem, emulate_tcu, tel, bufs[which])
+
+    def _finish_run(
+        self,
+        cur: np.ndarray,
+        rem: int,
+        emulate_tcu: bool,
+        tel: Telemetry,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The epilogue of every ``run`` path: the remainder tail, if any,
+        then the cache statistics."""
         if rem:
             tail = self._tail_plan(rem, tel)
             # The tail plan is cache-shared: run its body without mutating
             # it and keep the streamline result on *this* plan.
             with tel.span("tail"):
-                cur, result = tail._apply_impl(cur, emulate_tcu, bufs[which], tel)
+                cur, result = tail._apply_impl(cur, emulate_tcu, out, tel)
             self._store_result(result)
         if tel.enabled:
             tel.record_cache("plan_cache", **plan_cache_info())
@@ -1263,7 +1164,6 @@ class FlashFFTStencil:
         workers: int | None = None,
         telemetry: Telemetry | None = None,
         resident: bool | None = None,
-        processes: int | None = None,
         tolerance: float | None = None,
         tune: bool | None = None,
     ) -> np.ndarray:
@@ -1272,9 +1172,6 @@ class FlashFFTStencil:
         :meth:`run`); ``workers`` shards the grid axis across a thread
         pool.  ``resident`` keeps the stacked window batch resident across
         full applications (``None`` consults ``$REPRO_RESIDENT``).
-        ``processes`` shards the grid axis across worker *processes*
-        instead (``None`` consults ``$REPRO_PROCS``; ``0`` autotunes) —
-        see :func:`repro.distributed.engine.run_many_processes`.
         ``tolerance`` routes the whole batch to the cheapest precision
         tier meeting the budget (see :meth:`router`).  ``tune`` opts the
         batch into online autotuning with the batch width as a tuner
@@ -1292,7 +1189,6 @@ class FlashFFTStencil:
             workers=workers,
             telemetry=telemetry,
             resident=resident,
-            processes=processes,
             tolerance=tolerance,
             tune=tune,
         )
@@ -1359,7 +1255,6 @@ class FlashFFTStencil:
         tel: Telemetry,
         rb: "RobustnessConfig",
         guards: "GuardPolicy | None",
-        processes: int = 1,
     ) -> np.ndarray:
         """A multi-application resident chunk under the retry policy.
 
@@ -1367,8 +1262,6 @@ class FlashFFTStencil:
         sentinel-probe index (see :meth:`_run_robust`), so the only error
         a chunk can surface is an output-side numerical violation — the
         whole chunk retries as a unit, mirroring :meth:`_attempt_apply`.
-        With ``processes > 1`` the chunk executes on the scale-out engine
-        (bit-identical, so checkpoints and probes see the same grids).
         """
         retry = rb.retry
         attempts = retry.attempts if retry is not None else 1
@@ -1383,20 +1276,7 @@ class FlashFFTStencil:
                     time.sleep(delay)
                     delay *= retry.backoff_factor
             try:
-                if processes > 1 and applications >= 2:
-                    out = self._process_engine(processes).run(
-                        cur,
-                        applications,
-                        out=buf,
-                        telemetry=tel,
-                        injector=rb.injector,
-                        rank_timeout=rb.rank_timeout,
-                        max_rank_restarts=rb.max_rank_restarts,
-                    )
-                else:
-                    out = self._run_resident_block(
-                        cur, applications, tel, out=buf
-                    )
+                out = self._run_resident_block(cur, applications, tel, out=buf)
                 if guarded and guards.check_outputs:
                     out = check_array(out, "output", guards, tel)
                 if attempt and tel.enabled:
@@ -1415,7 +1295,6 @@ class FlashFFTStencil:
         tel: Telemetry,
         rb: "RobustnessConfig",
         resident: bool = False,
-        processes: int = 1,
     ) -> np.ndarray:
         """``run`` body under a :class:`~repro.robustness.RobustnessConfig`.
 
@@ -1435,12 +1314,6 @@ class FlashFFTStencil:
         stitch-per-application path, and recovery semantics are unchanged.
         Stage-level guards (``check_stages``) need per-stage batch arrays
         and disable chunking entirely.
-
-        ``processes > 1`` routes each multi-application chunk through the
-        scale-out :class:`~repro.distributed.engine.ProcessEngine` — the
-        chunk boundaries (and therefore every grid a checkpoint, probe,
-        or injected fault observes) are identical, and the engine's output
-        is bit-identical to the serial path.
         """
         from ..robustness.checkpoint import MemoryCheckpointStore
         from ..robustness.sentinel import DriftSentinel
@@ -1468,7 +1341,7 @@ class FlashFFTStencil:
 
         # ---- chunk plan: [i0, i1) ranges over the application list -----
         chunk_ok = (
-            (resident or processes > 1)
+            resident
             and not emulate_tcu
             and full >= 2
             and not (guards is not None and guards.enabled and guards.check_stages)
@@ -1485,12 +1358,6 @@ class FlashFFTStencil:
                         edges.add(j + 1)
             if rb.injector is not None:
                 for f in rb.injector.faults:
-                    # Process-level faults fire inside the scale-out
-                    # engine, not at a stitch boundary — cutting the
-                    # chunk to a singleton would bypass the engine (and
-                    # the fault) entirely.
-                    if f.kind in PROCESS_KINDS:
-                        continue
                     if f.apply_index < full:
                         edges.add(f.apply_index)
                         edges.add(f.apply_index + 1)
@@ -1533,10 +1400,10 @@ class FlashFFTStencil:
                     )
                 else:
                     nxt = self._attempt_chunk(
-                        cur, i1 - i0, bufs[which], tel, rb, guards, processes
+                        cur, i1 - i0, bufs[which], tel, rb, guards
                     )
                     result = None
-            except (FaultInjected, NumericalError, WorkerCrashError) as e:
+            except (FaultInjected, NumericalError) as e:
                 if (
                     isinstance(e, FaultInjected)
                     and store is not None

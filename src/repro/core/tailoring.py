@@ -506,7 +506,6 @@ class SegmentPlan:
         self,
         windows_in: np.ndarray,
         fused: np.ndarray,
-        rows: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """The zero-BC band fix applied in *window space* (resident loop).
 
@@ -520,21 +519,11 @@ class SegmentPlan:
         before exchange reproduces the grid-space stitch→fix→split cycle
         bit for bit.  Before the final stitch no exchange is needed, since
         stitching reads exactly the valid positions written here.
-
-        ``rows`` (optional, ``(s0, s1)`` window-row range) restricts the
-        *writes* to positions inside those window rows while computing the
-        full band slab — the process engine's single-owner discipline:
-        every rank evaluates the (thin) band redundantly but scatters only
-        into its own resident rows, so the union over ranks reproduces the
-        unrestricted fix without a cross-process write race.
         """
         win_flat = windows_in.reshape(-1)
         out_flat = fused.reshape(-1)
         stitch = self._stitch_flat
         ndim = len(self.grid_shape)
-        if rows is not None:
-            wsize = int(np.prod(self.local_shape))
-            row_lo, row_hi = rows[0] * wsize, rows[1] * wsize
         for axis in range(ndim):
             b = self.halo[axis]
             if b == 0:
@@ -555,13 +544,7 @@ class SegmentPlan:
                 idx_keep = tuple(
                     keep if ax == axis else slice(None) for ax in range(ndim)
                 )
-                pos = slab_pos[idx_keep]
-                vals = evolved[idx_keep]
-                if rows is None:
-                    out_flat[pos] = vals
-                else:
-                    mine = (pos >= row_lo) & (pos < row_hi)
-                    out_flat[pos[mine]] = vals[mine]
+                out_flat[slab_pos[idx_keep]] = evolved[idx_keep]
         return fused
 
     def fix_zero_boundary_band(
@@ -754,69 +737,6 @@ class HaloExchangePlan:
             self._refresh_gather(batch, rows, scratch)
         if telemetry.enabled:
             telemetry.count("halo_points_exchanged", rows * self.stale_points)
-        return batch
-
-    def maps_for_rows(
-        self, row_range: tuple[int, int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather maps restricted to window rows ``[s0, s1)``.
-
-        ``(src, dst, zero_dst)`` with every destination inside the flat
-        span ``[s0 * window_size, s1 * window_size)``.  Because
-        ``_gather_maps`` emits ``dst`` and ``zero_dst`` in ascending order
-        (both derive from a masked ``arange``), the restriction is two
-        ``searchsorted`` cuts — no scan.  Sources are unrestricted: a halo
-        point's owner may live in another process's rows, which is exactly
-        the cross-process traffic the shared-memory engine reads through
-        the global window batch.  Restricted maps over a disjoint row
-        partition tile the full maps, so per-range refreshes compose to
-        :meth:`refresh` bit for bit.
-        """
-        seg = self.segments
-        wsize = int(np.prod(seg.local_shape))
-        lo, hi = row_range[0] * wsize, row_range[1] * wsize
-        src, dst, zero_dst = self._gather_maps
-        a, b = np.searchsorted(dst, (lo, hi))
-        za, zb = np.searchsorted(zero_dst, (lo, hi))
-        return src[a:b], dst[a:b], zero_dst[za:zb]
-
-    def cross_rows_points(self, row_range: tuple[int, int]) -> int:
-        """How many of ``row_range``'s halo sources live *outside* the
-        range — the per-exchange cross-process point count."""
-        seg = self.segments
-        wsize = int(np.prod(seg.local_shape))
-        lo, hi = row_range[0] * wsize, row_range[1] * wsize
-        src, _, _ = self.maps_for_rows(row_range)
-        return int(np.count_nonzero((src < lo) | (src >= hi)))
-
-    def refresh_rows(
-        self,
-        batch: np.ndarray,
-        row_range: tuple[int, int],
-        scratch: np.ndarray | None = None,
-        telemetry: Telemetry = NULL_TELEMETRY,
-    ) -> np.ndarray:
-        """Refresh only the halo points whose *destination* lies in window
-        rows ``[s0, s1)`` of ``batch`` (a full ``(total_segments, ...)``
-        window batch — sources may be read from any row).
-
-        This is the process engine's exchange step: each rank calls it for
-        its own rows, so every halo point is written by exactly one rank
-        while reads roam the whole (barrier-quiesced) batch.
-        """
-        src, dst, zero_dst = self.maps_for_rows(row_range)
-        flat = batch.reshape(-1)
-        if scratch is not None and scratch.size >= src.size:
-            tmp = np.take(flat, src, out=scratch[: src.size])
-        else:
-            tmp = flat[src]
-        flat[dst] = tmp
-        if zero_dst.size:
-            flat[zero_dst] = 0.0
-        if telemetry.enabled:
-            telemetry.count(
-                "halo_points_exchanged", int(src.size + zero_dst.size)
-            )
         return batch
 
     def _refresh_gather(

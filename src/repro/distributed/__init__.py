@@ -1,11 +1,10 @@
-"""Scale-out deployment layer: slab decomposition, halo exchange, the
-process-parallel engine, and the compute/communication cost model.
+"""Scale-out model: slab decomposition, halo exchange, and the
+compute/communication cost model of the paper's multi-GPU extension.
 
-:class:`ProcessEngine` is the real thing — worker processes over shared
-memory, bit-identical to serial execution; :class:`DistributedStencil`
-replays the same per-rank schedule deterministically in-process (the
-multi-GPU simulation mode); :func:`scaling_curve` and
-:func:`predict_exchange_seconds` price the traffic both of them move.
+:class:`DistributedStencil` runs one window tile per simulated rank
+in-process — bit-identical to the single-device plan — and counts the
+ring exchanges; :func:`scaling_curve` and :func:`predict_exchange_seconds`
+price the halo traffic those exchanges move.
 """
 
 from .costmodel import (
@@ -18,12 +17,6 @@ from .costmodel import (
     scaling_curve,
 )
 from .decomposition import SlabDecomposition, exchange_halos
-from .engine import (
-    PROCS_ENV,
-    ProcessEngine,
-    choose_processes,
-    run_many_processes,
-)
 from .simulator import DistributedStencil
 
 __all__ = [
@@ -32,13 +25,9 @@ __all__ = [
     "Interconnect",
     "NVLINK4",
     "PCIE5",
-    "PROCS_ENV",
-    "ProcessEngine",
     "ScalingPoint",
     "SlabDecomposition",
-    "choose_processes",
     "exchange_halos",
     "predict_exchange_seconds",
-    "run_many_processes",
     "scaling_curve",
 ]

@@ -55,10 +55,10 @@ class Interconnect:
 NVLINK4 = Interconnect("NVLink4", 900.0, 8e-6)
 #: PCIe 5.0 x16 fallback.
 PCIE5 = Interconnect("PCIe5 x16", 64.0, 15e-6)
-#: Host shared memory (the process engine's transport): one memcpy through
-#: the page cache at DRAM-class bandwidth, plus a barrier's worth of
-#: scheduler latency.  Deliberately conservative — the ``distributed``
-#: experiment compares this prediction against measured exchange spans.
+#: Host shared memory: one memcpy through the page cache at DRAM-class
+#: bandwidth, plus a barrier's worth of scheduler latency.  Deliberately
+#: conservative — the ``distributed`` experiment compares this prediction
+#: against the measured ``exchange`` span of the in-process run.
 HOST_SHM = Interconnect("host shm", 20.0, 5e-6)
 
 

@@ -7,17 +7,15 @@ Each fused application follows the canonical distributed-stencil loop:
     3. trim the halo — the interior is exact because the exchanged halo
        covers the fused dependency cone.
 
-Since the scale-out engine landed, this module is a *thin deterministic
-mode of that engine*: :class:`DistributedStencil` partitions the plan's
-first-axis window tiles into one slab per simulated rank and plays the
-exact per-rank schedule of :class:`~repro.distributed.engine.
-ProcessEngine` — fuse own rows, refresh cross-rank halo bands, repeat —
-sequentially in-process.  The simulated run is therefore *bit-identical*
-to what the real multi-process engine computes (and to the single-device
-engines), so distributed-vs-single agreement is a pure statement about
-the decomposition/exchange logic, and the companion
-:mod:`repro.distributed.costmodel` prices exactly the bytes the engine
-moves (:meth:`~repro.distributed.engine.ProcessEngine.cross_halo_bytes`).
+:class:`DistributedStencil` maps that loop onto the plan's own resident
+iteration: the plan cuts one first-axis window tile per simulated rank,
+so each window *is* a rank's extended slab, and the in-place halo refresh
+between applications (:class:`~repro.core.tailoring.HaloExchangePlan`) is
+the ring exchange.  The run is therefore *bit-identical* to the
+single-device plan, distributed-vs-single agreement is a pure statement
+about the decomposition/exchange logic, and the companion
+:mod:`repro.distributed.costmodel` prices the halo values the refresh
+moves (``HaloExchangePlan.stale_points``).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from ..core.reference import Boundary
 from ..errors import PlanError
 from ..observability import Telemetry
 from .decomposition import SlabDecomposition
-from .engine import ProcessEngine, backend_spec
 
 __all__ = ["DistributedStencil"]
 
@@ -71,15 +68,15 @@ class DistributedStencil:
         self.kernel = kernel
         self.fused_steps = int(fused_steps)
         self.boundary: Boundary = boundary
-        # The bytes-on-the-wire ledger for the cost model: same partition
-        # arithmetic the engine uses, expressed in grid rows.
+        # The bytes-on-the-wire ledger for the cost model, expressed in
+        # grid rows.
         self.deco = SlabDecomposition(
             grid_shape,
             ranks,
             halo=self.fused_steps * kernel.radius[0],
             boundary=boundary,
         )
-        # One first-axis window tile per simulated rank, so the engine's
+        # One first-axis window tile per simulated rank, so the plan's
         # tile partition *is* the slab decomposition.
         tile = (-(-grid_shape[0] // ranks),) + grid_shape[1:]
         from ..core.plan import FlashFFTStencil
@@ -92,43 +89,11 @@ class DistributedStencil:
             tile=tile,
             workers=1,
         )
-        self._engine: ProcessEngine | None = None
-        self._tail_engines: dict[int, tuple[object, ProcessEngine]] = {}
         self.exchanges_performed = 0
 
     @property
     def ranks(self) -> int:
         return self.deco.ranks
-
-    def _full_engine(self) -> ProcessEngine:
-        if self._engine is None:
-            self._engine = ProcessEngine(
-                self.plan.segments,
-                self.ranks,
-                backend=backend_spec(self.plan._backend),
-                deterministic=True,
-            )
-        return self._engine
-
-    def _tail_engine(self, rem: int) -> tuple[object, ProcessEngine]:
-        cached = self._tail_engines.get(rem)
-        if cached is None:
-            from ..observability import NULL_TELEMETRY
-
-            tail = self.plan._tail_plan(rem, NULL_TELEMETRY)
-            cached = (
-                tail,
-                ProcessEngine(
-                    tail.segments,
-                    self.ranks,
-                    backend=backend_spec(tail._backend),
-                    deterministic=True,
-                ),
-            )
-            self._tail_engines[rem] = cached
-        return cached
-
-    # ------------------------------------------------------------- stepping
 
     def run(
         self,
@@ -136,10 +101,10 @@ class DistributedStencil:
         total_steps: int,
         telemetry: Telemetry | None = None,
     ) -> np.ndarray:
-        """Advance the global grid; bit-identical to the process engine.
+        """Advance the global grid; bit-identical to the single-device plan.
 
         Every chunk of ``fused_steps`` steps is one fused application —
-        one ring exchange — and the residual chunk reuses the cached
+        one ring exchange — and the residual chunk runs the cached
         narrower-halo tail plan, exactly like ``FlashFFTStencil.run``.
         """
         if total_steps < 0:
@@ -149,14 +114,6 @@ class DistributedStencil:
             raise PlanError(
                 f"grid shape {cur.shape} != {self.deco.grid_shape}"
             )
-        full, rem = divmod(total_steps, self.fused_steps)
-        if full == 0 and rem == 0:
-            return cur.copy()
-        if full:
-            cur = self._full_engine().run(cur, full, telemetry=telemetry)
-            self.exchanges_performed += full
-        if rem:
-            _, tail_engine = self._tail_engine(rem)
-            cur = tail_engine.run(cur, 1, telemetry=telemetry)
-            self.exchanges_performed += 1
-        return cur
+        out = self.plan.run(cur, total_steps, telemetry=telemetry, resident=True)
+        self.exchanges_performed += -(-total_steps // self.fused_steps)
+        return out

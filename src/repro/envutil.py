@@ -1,9 +1,9 @@
 """Strict parsing for the ``REPRO_*`` environment switches.
 
 The engine exposes a handful of fleet-wide environment overrides
-(``REPRO_WORKERS``, ``REPRO_PROCS``, ``REPRO_FFT_BACKEND``,
-``REPRO_START_METHOD``, ``REPRO_RESIDENT``).  A typo in one of them used
-to either crash with a bare ``ValueError`` (``int("two")``) or — worse —
+(``REPRO_WORKERS``, ``REPRO_FFT_BACKEND``, ``REPRO_RESIDENT``,
+``REPRO_AUTOTUNE``, ``REPRO_DTYPE``).  A typo in one of them used to
+either crash with a bare ``ValueError`` (``int("two")``) or — worse —
 silently fall back to a default, hiding a misconfigured deployment behind
 serial execution.  Every consumer now funnels through these helpers, so a
 bad value fails fast with a :class:`~repro.errors.PlanError` that names
@@ -20,7 +20,6 @@ from .errors import PlanError
 __all__ = [
     "env_int",
     "env_positive_int",
-    "env_positive_float",
     "env_choice",
     "env_flag",
 ]
@@ -48,30 +47,6 @@ def env_positive_int(name: str) -> int | None:
     value = env_int(name)
     if value is not None and value < 1:
         raise PlanError(f"${name} must be >= 1, got {value}")
-    return value
-
-
-def env_positive_float(name: str) -> float | None:
-    """``$name`` as a float ``> 0``; ``None`` when unset or empty.
-
-    Used for duration knobs such as ``REPRO_RANK_TIMEOUT`` (seconds a
-    worker rank may go without a heartbeat before the supervisor declares
-    it hung).  ``inf``/``nan`` and non-positive values are configuration
-    errors, not timeouts, and raise :class:`PlanError`.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = float(raw.strip())
-    except ValueError:
-        raise PlanError(
-            f"${name} must be a positive number of seconds, got {raw!r}"
-        ) from None
-    if not value > 0 or value != value or value == float("inf"):
-        raise PlanError(
-            f"${name} must be a finite positive number of seconds, got {raw!r}"
-        )
     return value
 
 

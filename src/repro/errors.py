@@ -19,7 +19,6 @@ __all__ = [
     "CheckpointError",
     "FaultInjected",
     "ServingError",
-    "WorkerCrashError",
 ]
 
 
@@ -65,36 +64,6 @@ class ServingError(ReproError, RuntimeError):
     can distinguish load shedding from numerical/plan errors and retry
     against another replica.
     """
-
-
-class WorkerCrashError(PlanError):
-    """A worker process crashed or hung beyond the recovery budget.
-
-    The process engine detects a dead rank (exit without a reply) or a
-    hung one (no heartbeat within ``$REPRO_RANK_TIMEOUT``) and first
-    recovers in place: the failed slab is re-executed inline — bit-identical,
-    slabs own disjoint output rows — and the pool is respawned for
-    subsequent batches.  Only when a run keeps crashing past
-    ``max_rank_restarts`` does this error escalate to the caller.
-    Subclasses :class:`PlanError` so existing ``except PlanError`` sites
-    (including the serving layer) keep catching engine failures, while the
-    circuit breaker can distinguish infrastructure crashes from data
-    errors by this narrower type.
-
-    ``ranks`` carries the failed rank indices, ``restarts`` the pool
-    restarts already spent when the error was raised.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        ranks: tuple[int, ...] = (),
-        restarts: int = 0,
-    ) -> None:
-        super().__init__(message)
-        self.ranks = tuple(int(r) for r in ranks)
-        self.restarts = int(restarts)
 
 
 class FaultInjected(ReproError, RuntimeError):

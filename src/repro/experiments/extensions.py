@@ -8,9 +8,9 @@
 * ``resident`` — segment-resident iteration: per-geometry traffic saved
   by replacing the per-application stitch + re-split round trip with a
   halo exchange, with bit-identity asserted on every row.
-* ``distributed`` — the process-parallel scale-out engine: measured
-  cross-rank exchange time per application vs the ``HOST_SHM`` cost-model
-  prediction, with bit-identity asserted on every row.
+* ``distributed`` — the multi-rank simulation: measured halo-exchange
+  time per application vs the ``HOST_SHM`` cost-model prediction, with
+  bit-identity asserted on every row.
 * ``precision`` — the mixed-precision tier: measured float32-vs-float64
   drift per heat case against the router's modeled bound, plus the tier
   each declared tolerance routes to (TECHNIQUES.md §17).
@@ -32,7 +32,6 @@ from ..distributed import (
     HOST_SHM,
     DistributedStencil,
     NVLINK4,
-    ProcessEngine,
     predict_exchange_seconds,
     scaling_curve,
 )
@@ -169,37 +168,33 @@ def precision() -> str:
 def distributed() -> str:
     """Scale-out exchange study: measured vs cost-model halo traffic time.
 
-    Runs the real :class:`~repro.distributed.ProcessEngine` (2 worker
-    processes over shared memory) on validation-scale heat geometries,
-    asserts bit-identity against the serial engine, and compares the
-    measured per-transition exchange time (the workers' ``exchange`` span,
-    summed across ranks) with the :data:`~repro.distributed.HOST_SHM`
-    cost-model prediction for the bytes that actually cross rank
-    boundaries.  The wall-clock gate (process vs thread sharding at 4
-    ranks) lives in ``benchmarks/bench_distributed.py``.
+    Runs :class:`~repro.distributed.DistributedStencil` (one window tile
+    per simulated rank, halos refreshed in place between applications) on
+    validation-scale heat geometries, asserts bit-identity against the
+    rank-tiled plan's stitched ``run``, and compares the measured
+    per-transition ``exchange`` span with the
+    :data:`~repro.distributed.HOST_SHM` cost-model prediction for the
+    halo bytes the exchange moves (``stale_points`` x itemsize).
     """
     cases = (
-        ("Heat-1D", (1 << 18,), heat_1d, (1 << 13,), 8),
-        ("Heat-2D", (256, 256), heat_2d, (32, 32), 4),
+        ("Heat-1D", (1 << 18,), heat_1d, 8),
+        ("Heat-2D", (256, 256), heat_2d, 4),
     )
     ranks, apps = 2, 6
     rows = []
-    for name, shape, kf, tile, fused in cases:
-        plan = FlashFFTStencil(shape, kf(), fused_steps=fused, tile=tile, workers=1)
+    for name, shape, kf, fused in cases:
+        dist = DistributedStencil(shape, kf(), ranks=ranks, fused_steps=fused)
         grid = random_field(shape, seed=23)
-        # The serial reference must be the static configuration even when
-        # $REPRO_AUTOTUNE is armed — a tuned depth changes numerics.
-        want = plan.run(grid, apps * fused, tune=False)
-        engine = ProcessEngine(plan.segments, ranks)
-        try:
-            tel = Telemetry()
-            got = engine.run(grid, apps, telemetry=tel)
-            assert np.array_equal(got, want), f"{name}: process result diverged"
-            spans = tel.stage_seconds()
-            exchange_s = sum(s for p, s in spans.items() if p.endswith("exchange"))
-            n_bytes = engine.cross_halo_bytes()
-        finally:
-            engine.close()
+        # The reference must be the static stitched configuration even
+        # when $REPRO_AUTOTUNE / $REPRO_RESIDENT are armed.
+        want = dist.plan.run(grid, apps * fused, resident=False, tune=False)
+        tel = Telemetry()
+        got = dist.run(grid, apps * fused, telemetry=tel)
+        assert np.array_equal(got, want), f"{name}: distributed result diverged"
+        spans = tel.stage_seconds()
+        exchange_s = sum(s for p, s in spans.items() if p.endswith("exchange"))
+        seg = dist.plan.segments
+        n_bytes = seg.exchange_plan().stale_points * seg.dtype.itemsize
         measured_ms = 1e3 * exchange_s / (apps - 1)
         predicted_ms = 1e3 * predict_exchange_seconds(n_bytes, HOST_SHM)
         rows.append(
@@ -214,15 +209,12 @@ def distributed() -> str:
             ]
         )
     note = (
-        "\nmeasured = workers' exchange span per transition, summed across"
-        f"\nranks; predicted = cross-rank bytes over {HOST_SHM.name} "
-        f"({HOST_SHM.bandwidth_gbs:.0f} GB/s + {1e6 * HOST_SHM.latency_s:.0f} us)."
-        "\nmeasured includes scheduler preemption while ranks share cores,"
-        "\nso it upper-bounds the copy the model prices;"
-        "\nwall-clock gate: benchmarks/bench_distributed.py"
+        "\nmeasured = exchange span per transition; predicted = halo bytes"
+        f"\nover {HOST_SHM.name} ({HOST_SHM.bandwidth_gbs:.0f} GB/s + "
+        f"{1e6 * HOST_SHM.latency_s:.0f} us)."
     )
     return (
-        header(f"Extension: process-parallel scale-out ({apps} applications)")
+        header(f"Extension: multi-rank halo exchange ({apps} applications)")
         + "\n"
         + table(
             rows,

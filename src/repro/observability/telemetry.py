@@ -153,8 +153,8 @@ class Telemetry:
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented).
 
-        The supervision/chaos tests poll individual counters
-        (``rank_recoveries``, ``breaker_trips``) between fault injections;
+        The serving and precision tests poll individual counters
+        (``serving_bisections``, ``precision_probes``) between requests;
         a full :meth:`snapshot` per poll copies every span and event for
         no reason.
         """

@@ -288,8 +288,6 @@ def run_many(
     workers: int | None = None,
     telemetry: Telemetry | None = None,
     resident: bool | None = None,
-    processes: int | None = None,
-    injector=None,
     tolerance: float | None = None,
     tune: bool | None = None,
 ) -> np.ndarray:
@@ -309,11 +307,7 @@ def run_many(
     stacked window points; small batches run serial).  ``resident`` keeps
     each chunk's stacked window batch resident across full applications —
     halo exchange instead of stitch + re-split, still bit-identical —
-    and ``None`` consults ``$REPRO_RESIDENT``.  ``processes`` shards the
-    grid axis across worker *processes* through shared memory instead
-    (``None`` consults ``$REPRO_PROCS``, ``0`` autotunes; GIL-free, so it
-    scales where thread sharding saturates).  ``double_layer`` pairs
-    grids across the whole batch, so it keeps the thread-sharded path.
+    and ``None`` consults ``$REPRO_RESIDENT``.
     """
     if total_steps < 0:
         raise PlanError(f"total_steps must be >= 0, got {total_steps}")
@@ -322,27 +316,25 @@ def run_many(
         from ..tuner import autotune_default
 
         # The env default yields silently to any explicitly pinned knob
-        # (the $REPRO_RESIDENT / $REPRO_PROCS convention); double-layer
-        # packing and fault injection pin the execution path too.
+        # (the $REPRO_RESIDENT convention); double-layer packing pins the
+        # execution path too.
         tune = (
             autotune_default()
             and tolerance is None
             and resident is None
-            and processes is None
             and workers is None
-            and injector is None
             and not double_layer
         )
     elif tune:
-        if tolerance is not None or injector is not None or double_layer:
+        if tolerance is not None or double_layer:
             raise PlanError(
-                "tune=True is incompatible with tolerance=, injector=, "
-                "and double_layer (they pin the execution path)"
+                "tune=True is incompatible with tolerance= and double_layer "
+                "(they pin the execution path)"
             )
-        if resident is not None or processes is not None or workers is not None:
+        if resident is not None or workers is not None:
             raise PlanError(
                 "tune=True is incompatible with explicit workers=/"
-                "resident=/processes=: they are tuner dimensions"
+                "resident=: they are tuner dimensions"
             )
     if tune:
         from ..tuner import get_default_tuner
@@ -367,29 +359,6 @@ def run_many(
         resident = resident_default()
     gs = _as_grid_list(plan, grids)
     batch = len(gs)
-    from ..distributed.engine import choose_processes
-
-    points = int(np.prod(plan.grid_shape))
-    if plan.precision != "float64":
-        # The shared-memory process engine is float64-only; explicit
-        # multi-process requests fail loudly, autotune/env degrade to the
-        # thread-sharded path (same policy as FlashFFTStencil.run).
-        if processes is not None and int(processes) > 1:
-            raise PlanError(
-                "processes > 1 requires the float64 tier: the shared-memory "
-                f"process engine is double-precision only, plan is "
-                f"{plan.precision}"
-            )
-        procs = 1
-    else:
-        procs = choose_processes(batch * points, batch, processes)
-    if procs > 1 and not double_layer:
-        from ..distributed.engine import run_many_processes
-
-        return run_many_processes(
-            plan, gs, total_steps, procs, telemetry=telemetry,
-            injector=injector,
-        )
     w = choose_workers(batch * plan.segments.window_points, workers)
     w = min(w, batch)
     if w <= 1:
@@ -430,9 +399,7 @@ def serve_batch(
     double_layer: bool = False,
     workers: int | None = None,
     telemetry: Telemetry | None = None,
-    processes: int | None = None,
     guards=None,
-    injector=None,
 ) -> list[np.ndarray]:
     """The micro-batcher → ``run_many`` handoff: serve one coalesced batch.
 
@@ -443,15 +410,11 @@ def serve_batch(
     Numerically this is exactly ``run_many``; the extra span/counters
     give the serving layer its own telemetry trail.
 
-    ``processes`` forwards to ``run_many`` (``None`` consults
-    ``$REPRO_PROCS``) so the batcher's circuit breaker can pick the
-    execution mode per dispatch.  ``guards`` (a
-    :class:`~repro.robustness.GuardPolicy`) validates the stacked output:
-    one request whose numerics blow up poisons the whole stack, and the
-    resulting :class:`~repro.errors.NumericalError` is what lets the
-    batcher's bisection retry isolate the culprit instead of failing all
-    co-batched tenants.  ``injector`` ships process-level chaos faults to
-    the scale-out path.
+    ``guards`` (a :class:`~repro.robustness.GuardPolicy`) validates the
+    stacked output: one request whose numerics blow up poisons the whole
+    stack, and the resulting :class:`~repro.errors.NumericalError` is what
+    lets the batcher's bisection isolate the culprit instead of failing
+    all co-batched tenants.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     with tel.span("serve_batch"):
@@ -462,8 +425,6 @@ def serve_batch(
             double_layer=double_layer,
             workers=workers,
             telemetry=tel,
-            processes=processes,
-            injector=injector,
         )
         if guards is not None and guards.enabled and guards.check_outputs:
             check_array(stack, "serving batch output", guards, tel)

@@ -45,16 +45,6 @@ class RobustnessConfig:
         run.  With this off, the typed error propagates.
     injector:
         Fault-injection harness for exercising the recovery paths.
-    rank_timeout:
-        Scale-out supervision deadline (seconds): a worker rank that
-        neither replies nor heartbeats for this long is declared hung and
-        recovered.  ``None`` defers to ``$REPRO_RANK_TIMEOUT`` (and, when
-        that is unset too, disables hang detection — crash detection via
-        process liveness always runs).
-    max_rank_restarts:
-        Worker-pool restart budget per engine: each crash/hang recovery
-        respawns the pool; past this many the engine escalates a typed
-        :class:`~repro.errors.WorkerCrashError` instead of looping.
     """
 
     guards: GuardPolicy = field(default_factory=GuardPolicy)
@@ -65,8 +55,6 @@ class RobustnessConfig:
     max_restores: int = 2
     fallback_to_reference: bool = True
     injector: FaultInjector | None = None
-    rank_timeout: float | None = None
-    max_rank_restarts: int | None = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 0:
@@ -75,11 +63,3 @@ class RobustnessConfig:
             )
         if self.max_restores < 0:
             raise PlanError(f"max_restores must be >= 0, got {self.max_restores}")
-        if self.rank_timeout is not None and not self.rank_timeout > 0:
-            raise PlanError(
-                f"rank_timeout must be > 0 seconds, got {self.rank_timeout}"
-            )
-        if self.max_rank_restarts is not None and self.max_rank_restarts < 0:
-            raise PlanError(
-                f"max_rank_restarts must be >= 0, got {self.max_rank_restarts}"
-            )

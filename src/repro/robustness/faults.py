@@ -13,23 +13,6 @@ specific applications:
   offset (a miscomputed stage corrupts everything it touches) — invisible
   to finiteness/magnitude guards, caught only by the drift sentinel.
 
-Three further *process-level* classes sabotage the scale-out engine
-(:mod:`repro.distributed.engine`) rather than a stage array.  They are
-never fired by :meth:`FaultInjector.visit`; the engine extracts them with
-:meth:`FaultInjector.take_process_faults` and ships them to the worker
-rank they name, which executes them in situ:
-
-* ``"rank_crash"`` — the worker calls ``os._exit`` at the addressed stage
-  (``"fuse"``: mid-FFT, before the transform; ``"exchange"``: right after
-  the pre-exchange barrier), modelling a segfaulting or OOM-killed rank;
-* ``"rank_hang"`` — the worker stops making progress (sleeps without
-  heartbeating), modelling a livelocked or descheduled rank that only a
-  run-level deadline (``$REPRO_RANK_TIMEOUT``) can detect;
-* ``"halo_corrupt"`` — the worker poisons one deterministic element of
-  its freshly refreshed halo in shared memory with NaN; the corruption
-  must be *caught downstream by the existing numerical guards*, proving
-  the supervision and guard layers compose.
-
 Fault sites are addressed by ``(stage, apply_index)``; the poisoned element
 index derives from the injector seed and the fault's coordinates (CRC of
 the stage name — never Python's randomized ``hash``), so every run of a
@@ -44,53 +27,17 @@ assert against.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import FaultInjected
 from ..observability import NULL_TELEMETRY, Telemetry
 
-__all__ = [
-    "FaultSpec",
-    "FaultInjector",
-    "RetryPolicy",
-    "PROCESS_KINDS",
-    "process_fault_element",
-]
+__all__ = ["FaultSpec", "FaultInjector", "RetryPolicy"]
 
-#: Kinds executed inside a worker process of the scale-out engine.
-PROCESS_KINDS = ("rank_crash", "rank_hang", "halo_corrupt")
-
-_KINDS = ("transient", "nan", "corrupt") + PROCESS_KINDS
-_STAGES = ("input", "split", "fuse", "exchange", "stitch", "output")
-
-#: Stages a process-level fault may address: ``fuse`` models a fault in
-#: the middle of a rank's FFT pass, ``exchange`` one at the halo-refresh
-#: boundary (``halo_corrupt`` only makes sense there — the halo it poisons
-#: is the one the exchange just refreshed).
-_PROCESS_STAGES = {
-    "rank_crash": ("fuse", "exchange"),
-    "rank_hang": ("fuse", "exchange"),
-    "halo_corrupt": ("exchange",),
-}
-
-
-def process_fault_element(
-    seed: int, stage: str, apply_index: int, rank: int, size: int
-) -> int:
-    """Deterministic flat element index for a worker-side data fault.
-
-    Mirrors :meth:`FaultInjector._element` but folds the rank in, so the
-    poisoned halo element is reproducible across runs *and* distinct per
-    rank — the worker derives it locally from the shipped seed without
-    needing the injector object (which never crosses the process
-    boundary).
-    """
-    mix = np.random.default_rng(
-        (int(seed), zlib.crc32(stage.encode()), int(apply_index), int(rank))
-    )
-    return int(mix.integers(size))
+_KINDS = ("transient", "nan", "corrupt")
+_STAGES = ("input", "split", "fuse", "stitch", "output")
 
 
 @dataclass(frozen=True)
@@ -112,10 +59,6 @@ class FaultSpec:
         heals).
     value:
         Offset added to every element by ``"corrupt"`` faults.
-    rank:
-        Worker rank (process-engine slab index, or chunk index for
-        ``run_many_processes``) a process-level fault targets.  Ignored by
-        in-process kinds.
     """
 
     stage: str
@@ -123,7 +66,6 @@ class FaultSpec:
     apply_index: int = 0
     count: int = 1
     value: float = 1.0
-    rank: int = 0
 
     def __post_init__(self) -> None:
         if self.stage not in _STAGES:
@@ -134,19 +76,6 @@ class FaultSpec:
             raise ValueError(f"apply_index must be >= 0, got {self.apply_index}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be >= 0, got {self.rank}")
-        allowed = _PROCESS_STAGES.get(self.kind)
-        if allowed is not None and self.stage not in allowed:
-            raise ValueError(
-                f"{self.kind!r} faults must target stage "
-                f"{' or '.join(map(repr, allowed))}, got {self.stage!r}"
-            )
-        if self.kind not in PROCESS_KINDS and self.stage == "exchange":
-            raise ValueError(
-                "stage 'exchange' is a process-level fault site; "
-                f"{self.kind!r} faults cannot target it"
-            )
 
 
 @dataclass(frozen=True)
@@ -208,8 +137,7 @@ class FaultInjector:
         """
         for i, fault in enumerate(self.faults):
             if (
-                fault.kind in PROCESS_KINDS
-                or fault.stage != stage
+                fault.stage != stage
                 or fault.apply_index != apply_index
                 or self._remaining[i] <= 0
             ):
@@ -239,60 +167,3 @@ class FaultInjector:
             else:  # corrupt: finite, in-range, and systematic
                 arr += fault.value
         return arr
-
-    def take_process_faults(
-        self,
-        ranks: int,
-        telemetry: Telemetry = NULL_TELEMETRY,
-    ) -> dict[int, list[dict]]:
-        """Disarm and hand out the armed process-level faults, per rank.
-
-        Called by the scale-out engine once per run (or per
-        ``run_many_processes`` dispatch) *before* the run command goes
-        out: each armed ``rank_crash`` / ``rank_hang`` / ``halo_corrupt``
-        fault addressing a rank below ``ranks`` is consumed from its
-        budget here — the firing happens in the worker, which cannot
-        report back, so the disarm-and-log bookkeeping lives with the
-        extraction.  The returned mapping ships picklable dicts carrying
-        everything a worker needs (``kind``/``stage``/``apply_index``/
-        ``rank``/``value``/``seed``); a retry of the same run re-extracts
-        and sees only whatever budget is left — exactly how a transient
-        in-process fault heals across attempts.
-        """
-        out: dict[int, list[dict]] = {}
-        for i, fault in enumerate(self.faults):
-            if (
-                fault.kind not in PROCESS_KINDS
-                or fault.rank >= ranks
-                or self._remaining[i] <= 0
-            ):
-                continue
-            self._remaining[i] -= 1
-            self.log.append(
-                {
-                    "stage": fault.stage,
-                    "kind": fault.kind,
-                    "apply_index": fault.apply_index,
-                    "rank": fault.rank,
-                }
-            )
-            if telemetry.enabled:
-                telemetry.count("faults_injected", 1)
-                telemetry.event(
-                    "fault_injected",
-                    stage=fault.stage,
-                    kind=fault.kind,
-                    apply_index=fault.apply_index,
-                    rank=fault.rank,
-                )
-            out.setdefault(fault.rank, []).append(
-                {
-                    "kind": fault.kind,
-                    "stage": fault.stage,
-                    "apply_index": fault.apply_index,
-                    "rank": fault.rank,
-                    "value": fault.value,
-                    "seed": self.seed,
-                }
-            )
-        return out

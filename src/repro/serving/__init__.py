@@ -11,21 +11,17 @@ persistent on-disk plan/spectrum cache (:class:`PlanDiskCache`) so a
 fresh process warm-starts planning instead of re-deriving it.
 
 Failure isolation lives here too: request validation at admission,
-per-request deadlines, retry-then-bisection batch recovery, and a
-:class:`CircuitBreaker` that degrades the execution mode
-(processes → threads → serial) under repeated worker crashes.
+per-request deadlines, and bisection of a failed batch so a poisoned
+request fails alone.
 """
 
 from .admission import AdmissionController
 from .batcher import ServingConfig, StencilServer
-from .breaker import DEGRADATION_LADDER, CircuitBreaker
 from .plancache import PLAN_CACHE_ENV, PlanDiskCache
 from .scheduler import DeficitRoundRobin
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
-    "DEGRADATION_LADDER",
     "DeficitRoundRobin",
     "PlanDiskCache",
     "PLAN_CACHE_ENV",

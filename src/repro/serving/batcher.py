@@ -39,27 +39,21 @@ measured latency effect of dropping the fill wait is tabulated in
 ``docs/TECHNIQUES.md`` §15.
 
 **Failure isolation.**  Co-batching must not create shared fate: one bad
-request (or one crashed worker) failing every co-batched tenant would
-undo the multi-tenancy story.  Four mechanisms compose:
+request failing every co-batched tenant would undo the multi-tenancy
+story.  Three mechanisms compose:
 
 * *validation at admission* — malformed grids (wrong shape, non-finite
   values) and over-ceiling step counts are refused at ``submit`` time,
   before they can enter a batch at all;
 * *per-request deadlines* — ``request_timeout_ms`` fails only the
   expired request's future; the batch it would have joined is unaffected;
-* *retry, then bisection* — a failed group execution is retried with
-  exponential backoff while the failure is plausibly transient (injected
-  transients, worker crashes); a persistent failure bisects the group so
-  the poisoned request alone fails and every healthy co-batched request
-  is re-run — bit-identical to what it would have gotten in a clean
-  batch, because batching never mixes grids;
-* *a circuit breaker* — repeated *infrastructure* crashes degrade the
-  execution mode (processes → threads → serial) instead of failing
-  requests, re-probing the faster mode after a cooldown
-  (:class:`~repro.serving.breaker.CircuitBreaker`).
+* *bisection* — a failed group execution is split in halves that re-run
+  independently, so the poisoned request alone fails and every healthy
+  co-batched request is re-run — bit-identical to what it would have
+  gotten in a clean batch, because batching never mixes grids.
 
-:meth:`StencilServer.health` exposes the whole picture — breaker state,
-expiry/poison counters, admission stats — for load balancers to scrape.
+:meth:`StencilServer.health` exposes the whole picture — expiry/poison
+counters, admission stats — for load balancers to scrape.
 """
 
 from __future__ import annotations
@@ -73,16 +67,14 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from ..errors import FaultInjected, ServingError, WorkerCrashError
+from ..errors import ServingError
 from ..observability import NULL_TELEMETRY, Telemetry
 from ..parallel.batch import serve_batch
 from .admission import AdmissionController
-from .breaker import CircuitBreaker
 from .scheduler import DeficitRoundRobin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import FlashFFTStencil
-    from ..robustness.faults import FaultInjector
     from ..robustness.guards import GuardPolicy
     from ..tuner import OnlineTuner
 
@@ -125,21 +117,6 @@ class ServingConfig:
     #: long after submit fails (alone) with ``ServingError``.  ``None``
     #: disables expiry.
     request_timeout_ms: float | None = None
-    #: Bounded retry with exponential backoff for transiently failed
-    #: group executions (injected transients, worker crashes) before
-    #: bisection takes over.
-    max_execution_retries: int = 2
-    retry_backoff_ms: float = 1.0
-    retry_backoff_factor: float = 2.0
-    #: Circuit breaker: consecutive worker crashes before the execution
-    #: mode degrades one rung (processes → threads → serial), and how
-    #: long to sit degraded before probing the faster mode again.
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 5.0
-    #: Execution mode at full capability: process count handed to
-    #: ``serve_batch`` (``None`` consults ``$REPRO_PROCS``; degraded
-    #: breaker rungs override it to 1).
-    processes: int | None = None
     #: Output guards for each batch (a ``GuardPolicy``): non-finite or
     #: out-of-range batch results raise instead of being returned, which
     #: is what arms the bisection path for execution-time poison.
@@ -163,32 +140,6 @@ class ServingConfig:
         if self.request_timeout_ms is not None and self.request_timeout_ms <= 0:
             raise ServingError(
                 f"request_timeout_ms must be > 0, got {self.request_timeout_ms}"
-            )
-        if self.max_execution_retries < 0:
-            raise ServingError(
-                f"max_execution_retries must be >= 0, "
-                f"got {self.max_execution_retries}"
-            )
-        if self.retry_backoff_ms < 0:
-            raise ServingError(
-                f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}"
-            )
-        if self.retry_backoff_factor < 1:
-            raise ServingError(
-                f"retry_backoff_factor must be >= 1, "
-                f"got {self.retry_backoff_factor}"
-            )
-        if self.breaker_threshold < 1:
-            raise ServingError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_cooldown_s <= 0:
-            raise ServingError(
-                f"breaker_cooldown_s must be > 0, got {self.breaker_cooldown_s}"
-            )
-        if self.processes is not None and self.processes < 0:
-            raise ServingError(
-                f"processes must be >= 0, got {self.processes}"
             )
 
 
@@ -225,22 +176,16 @@ class StencilServer:
         plan: "FlashFFTStencil",
         config: ServingConfig | None = None,
         telemetry: Telemetry | None = None,
-        injector: "FaultInjector | None" = None,
         tuner: "OnlineTuner | None" = None,
     ) -> None:
         self.plan = plan
         self.config = config if config is not None else ServingConfig()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: Chaos harness: process-level faults forwarded to the scale-out
-        #: execution path (benchmarks/bench_chaos.py drives this).
-        self.injector = injector
         #: Online tuner (:class:`~repro.tuner.OnlineTuner`): when present,
         #: the batch size becomes a tuner dimension — live per-grid
         #: service observations per batch size feed
         #: :meth:`~repro.tuner.OnlineTuner.observe_batch`, and once the
-        #: tuner decides, its target caps ``max_batch``.  Breaker
-        #: degradation invalidates the tuned state (the machine the winner
-        #: was measured on is gone).
+        #: tuner decides, its target caps ``max_batch``.
         self.tuner = tuner
         self._tuner_sig = None
         if tuner is not None:
@@ -262,11 +207,6 @@ class StencilServer:
             max_pending_per_tenant=self.config.max_pending_per_tenant,
             telemetry=self.telemetry,
         )
-        self._breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
-            telemetry=self.telemetry,
-        )
         self._cost = points
         self._wake: asyncio.Event | None = None
         self._worker: asyncio.Task | None = None
@@ -281,7 +221,6 @@ class StencilServer:
         self.expired = 0
         self.poisoned = 0
         self.bisections = 0
-        self.execution_retries = 0
 
     # --------------------------------------------------------------- lifecycle
 
@@ -491,106 +430,52 @@ class StencilServer:
             tel.observe("serve_batch_size", float(len(batch)))
 
     async def _execute_group(self, steps, precision, reqs, loop, tel) -> None:
-        """Serve one same-``(steps, precision)`` group: retry, bisect.
+        """Serve one same-``(steps, precision)`` group; bisect on failure.
 
-        Recovery escalates in two stages.  First a bounded retry loop with
-        exponential backoff absorbs failures that are plausibly transient
-        — worker crashes (which also feed the circuit breaker, so retries
-        may re-run in a degraded mode) and injected transients.  If the
-        failure persists, the group is bisected: halves re-run
-        independently until the poisoned request is alone and fails its
-        own future, while every healthy request gets its bit-identical
-        result (batching never mixes grids, so a re-run half equals its
-        slice of the original batch).
+        A failed group is bisected: halves re-run independently until the
+        poisoned request is alone and fails its own future, while every
+        healthy request gets its bit-identical result (batching never
+        mixes grids, so a re-run half equals its slice of the original
+        batch).
         """
         live = [r for r in reqs if not r.future.done()]
         if not live:
             return
-        cfg = self.config
-        delay = cfg.retry_backoff_ms / 1000.0
-        last_exc: Exception | None = None
-        for attempt in range(cfg.max_execution_retries + 1):
-            if attempt:
-                self.execution_retries += 1
-                tel.count("serving_retries")
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                delay *= cfg.retry_backoff_factor
-                live = [r for r in live if not r.future.done()]
-                if not live:
-                    return
-            try:
-                results, inline, per_grid = await self._dispatch(
-                    steps, live, loop, tel, precision
-                )
-            except WorkerCrashError as e:
-                # Infrastructure, not data: feed the breaker and retry —
-                # possibly one rung down the degradation ladder.
-                last_exc = e
-                self._breaker.record_failure()
-                tel.count("serving_worker_crashes")
-                if self.tuner is not None:
-                    # The degradation ladder just moved: whatever batch
-                    # target was tuned was measured on conditions that no
-                    # longer hold — re-observe from scratch.
-                    self.tuner.invalidate(self._tuner_sig)
-                continue
-            except FaultInjected as e:
-                last_exc = e
-                if e.transient:
-                    continue
-                break  # persistent fault: no point retrying, isolate it
-            except Exception as e:
-                last_exc = e
-                break  # data/numerical/unknown failure: isolate it
-            self._breaker.record_success()
-            if precision == "float32" and precision != self.plan.precision:
-                results = await self._spot_check_group(
-                    steps, live, results, loop, tel
-                )
-            self._finish_group(live, results, inline, per_grid, tel)
+        try:
+            results, inline, per_grid = await self._dispatch(
+                steps, live, loop, tel, precision
+            )
+        except Exception as e:
+            live = [r for r in live if not r.future.done()]
+            if len(live) == 1:
+                self.poisoned += 1
+                tel.count("serving_poisoned_requests")
+                live[0].future.set_exception(e)
+            elif live:
+                self.bisections += 1
+                tel.count("serving_bisections")
+                mid = len(live) // 2
+                await self._execute_group(steps, precision, live[:mid], loop, tel)
+                await self._execute_group(steps, precision, live[mid:], loop, tel)
             return
-        live = [r for r in live if not r.future.done()]
-        if not live:
-            return
-        if len(live) == 1:
-            self.poisoned += 1
-            tel.count("serving_poisoned_requests")
-            live[0].future.set_exception(last_exc)
-            return
-        self.bisections += 1
-        tel.count("serving_bisections")
-        mid = len(live) // 2
-        await self._execute_group(steps, precision, live[:mid], loop, tel)
-        await self._execute_group(steps, precision, live[mid:], loop, tel)
+        if precision == "float32" and precision != self.plan.precision:
+            results = await self._spot_check_group(steps, live, results, loop, tel)
+        self._finish_group(live, results, inline, per_grid, tel)
 
     async def _dispatch(self, steps, reqs, loop, tel, precision=None):
-        """Run one group through ``serve_batch`` in the breaker's mode."""
-        mode = self._breaker.mode()
-        if mode == "processes":
-            processes, workers = self.config.processes, self.config.workers
-        elif mode == "threads":
-            processes, workers = 1, self.config.workers
-        else:  # serial
-            processes, workers = 1, 1
+        """Run one group through ``serve_batch`` on ``precision``'s plan."""
         plan = self.plan
         if precision is not None and precision != plan.precision:
             plan = plan.variant(precision)
-        if plan.precision != "float64":
-            # The shared-memory process engine is float64-only; a routed
-            # float32 group runs threads regardless of the breaker rung.
-            processes = 1
         call = functools.partial(
             serve_batch,
             plan,
             [r.grid for r in reqs],
             steps,
             double_layer=self.config.double_layer,
-            workers=workers,
+            workers=self.config.workers,
             telemetry=tel,
-            processes=processes,
             guards=self.config.guards,
-            injector=self.injector,
         )
         # The executor hop costs ~0.5 ms round trip; batches the EWMA
         # predicts to finish faster than inline_below_ms run on the
@@ -700,12 +585,11 @@ class StencilServer:
     def health(self) -> dict:
         """Liveness + degradation snapshot for a load balancer to scrape.
 
-        Read-only: never arms a breaker probe or mutates counters.
+        Read-only: never mutates counters.
         """
         return {
             "running": self._running,
             "draining": self._draining,
-            "breaker": self._breaker.health(),
             "pending": self._scheduler.pending(),
             "inflight": self._inflight,
             "batches": self.batches,
@@ -713,7 +597,6 @@ class StencilServer:
             "expired": self.expired,
             "poisoned": self.poisoned,
             "bisections": self.bisections,
-            "execution_retries": self.execution_retries,
             "admission": self._admission.info(),
         }
 

@@ -9,7 +9,7 @@ model (via :func:`~repro.analysis.sparsity.fragment_density`), and the
 kernel tap-density sparsity signal
 (:func:`~repro.analysis.sparsity.kernel_tap_density`, the SPIDER /
 SparStencil motivation) — plus coarse host-side efficiency terms for
-thread sharding, process ranks, and batch amortisation.  Only the top few
+thread sharding and batch amortisation.  Only the top few
 survivors graduate to interleaved timing; the model's job is *ordering*,
 not absolute prediction, and mis-ranked survivors are harmless because
 the measured incumbent always stays in the trial set.
@@ -39,8 +39,6 @@ __all__ = ["predicted_seconds", "prune_candidates"]
 #: Diminishing-returns efficiency of each extra thread-shard worker
 #: (pocketfft releases the GIL, but split/stitch serialise partially).
 _THREAD_EFF = 0.75
-#: Same for process ranks (dispatch + shared-memory round trips).
-_PROC_EFF = 0.65
 #: Modelled per-application Python dispatch overhead, amortised by the
 #: micro-batch width (one batched pass serves B grids).
 _DISPATCH_S = 2e-4
@@ -98,7 +96,7 @@ def predicted_seconds(
     de-rated by the fragment density of the window's DFT matrices and by
     the kernel's tap density — a near-empty footprint box means the dense
     spectral multiply is doing amortised work that the traffic term, not
-    the flop term, bounds.  Host-side effects (thread/process efficiency,
+    the flop term, bounds.  Host-side effects (thread efficiency,
     dispatch amortised over the batch) scale the bound.
     """
     valid, local = _window_geometry(plan, cand)
@@ -133,9 +131,9 @@ def predicted_seconds(
 
     # --- HBM traffic per point ----------------------------------------
     bytes_pt = rsize * amp + rsize          # window gather + stitch write
-    if cand.resident or cand.processes > 1:
-        # Resident iteration (the process engine is inherently resident)
-        # replaces the grid round trip with the stale-halo exchange.
+    if cand.resident:
+        # Resident iteration replaces the grid round trip with the
+        # stale-halo exchange.
         stale = max(0.0, amp - 1.0)
         bytes_pt += rsize * 2.0 * min(1.0, stale)
     else:
@@ -165,12 +163,7 @@ def predicted_seconds(
         except ValueError:
             fft_threads = 1
     parallel = max(threads, fft_threads)
-    eff = 1.0 + _THREAD_EFF * (parallel - 1)
-    if cand.processes > 1:
-        ranks = min(cand.processes, cpus)
-        eff = max(eff, 1.0 + _PROC_EFF * (ranks - 1))
-        t += 5e-3 * ranks  # pool dispatch amortised over the run
-    t /= eff
+    t /= 1.0 + _THREAD_EFF * (parallel - 1)
     t += _DISPATCH_S * applications / max(1, cand.batch)
     return t
 

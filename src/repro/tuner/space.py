@@ -3,26 +3,23 @@
 A :class:`TunerCandidate` pins every runtime knob that shapes throughput
 without shaping numerics *for a fixed plan configuration*: temporal fusion
 depth, valid-tile override, FFT backend (and its transform-thread count),
-shard workers, segment residency, process ranks, and the ``run_many``
-micro-batch width.  :func:`candidate_space` seeds the search from the
-static heuristics the library already trusts —
+shard workers, segment residency, and the ``run_many`` micro-batch
+width.  :func:`candidate_space` seeds the search from the static
+heuristics the library already trusts —
 :func:`~repro.core.plan.default_tile` for geometry (host slabs or
 Eq. (5)), :func:`~repro.parallel.sharding.choose_workers` for thread
-sharding,
-:func:`~repro.distributed.engine.choose_processes` for ranks, and
-:func:`~repro.core.plan.resident_default` for residency — then varies one
-coordinate at a time around that incumbent.  Coordinate variation keeps
-the space linear in the number of knobs (a dozen-odd candidates, not the
-hundreds a full cross product would breed) while still containing every
-single-knob improvement the model or the trials could surface.
+sharding, and :func:`~repro.core.plan.resident_default` for residency —
+then varies one coordinate at a time around that incumbent.  Coordinate
+variation keeps the space linear in the number of knobs (a dozen-odd
+candidates, not the hundreds a full cross product would breed) while
+still containing every single-knob improvement the model or the trials
+could surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..parallel.sharding import choose_workers, cpu_count
 
@@ -39,10 +36,9 @@ class TunerCandidate:
     ``tile=None`` means "let the plan's
     :func:`~repro.core.plan.default_tile` rule pick"; an explicit tuple
     pins the valid-tile shape.  ``workers=0`` means autotune from window
-    points at execution time; ``processes`` is always concrete (1 =
-    in-process).  ``batch`` is the ``run_many`` / serving micro-batch
-    width — carried in the candidate so a persisted winner replays the
-    whole configuration, but only varied by batched workloads.
+    points at execution time.  ``batch`` is the ``run_many`` / serving
+    micro-batch width — carried in the candidate so a persisted winner
+    replays the whole configuration, but only varied by batched workloads.
     """
 
     fused_steps: int
@@ -50,7 +46,6 @@ class TunerCandidate:
     backend: str
     workers: int
     resident: bool
-    processes: int
     batch: int = 1
 
     def label(self) -> str:
@@ -61,8 +56,6 @@ class TunerCandidate:
             bits.append("tile=" + "x".join(str(t) for t in self.tile))
         if self.resident:
             bits.append("resident")
-        if self.processes > 1:
-            bits.append(f"procs={self.processes}")
         if self.batch > 1:
             bits.append(f"B={self.batch}")
         return ",".join(bits)
@@ -75,12 +68,15 @@ class TunerCandidate:
             "backend": self.backend,
             "workers": int(self.workers),
             "resident": bool(self.resident),
-            "processes": int(self.processes),
             "batch": int(self.batch),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TunerCandidate":
+        if "processes" in data:
+            # Winners stored while process ranks were a tuner dimension
+            # describe a configuration that no longer exists: re-tune.
+            raise ValueError("stale tuned record: carries 'processes'")
         tile = data.get("tile")
         return cls(
             fused_steps=int(data["fused_steps"]),
@@ -88,7 +84,6 @@ class TunerCandidate:
             backend=str(data["backend"]),
             workers=int(data["workers"]),
             resident=bool(data["resident"]),
-            processes=int(data["processes"]),
             batch=int(data.get("batch", 1)),
         )
 
@@ -104,17 +99,19 @@ def static_candidate(
     challenger wins by a clear margin.
     """
     from ..core.plan import resident_default
-    from ..distributed.engine import backend_spec, choose_processes
 
-    points = int(np.prod(plan.grid_shape)) * max(1, int(batch))
-    tiles = plan.segments.num_segments[0]
+    backend = plan.backend
+    fft_threads = getattr(backend, "workers", None)
+    if fft_threads is not None:
+        backend_spec = f"{backend.name}:{fft_threads}"
+    else:
+        backend_spec = backend.name
     return TunerCandidate(
         fused_steps=plan.fused_steps,
         tile=plan._tile_override,
-        backend=backend_spec(plan.backend),
+        backend=backend_spec,
         workers=plan.effective_workers,
         resident=resident_default(),
-        processes=choose_processes(points, tiles, None),
         batch=max(1, int(batch)),
     )
 
@@ -135,17 +132,12 @@ def candidate_space(
     * **workers** — serial, the :func:`choose_workers` autotune, and
       all-cores (thread sharding along the segment axis);
     * **resident** — both polarities (residency trades stitch round trips
-      for halo exchanges; which wins depends on the halo fraction);
-    * **processes** — in-process vs. the rank count
-      :func:`choose_processes` would pick under explicit autotune
-      (float64 plans only — the shared-memory engine's contract).
+      for halo exchanges; which wins depends on the halo fraction).
 
     The batch width is *not* varied here: single-``run`` workloads have no
     batch axis, and batched callers (``run_many`` / serving) vary it
     themselves via their own candidate sets.
     """
-    from ..distributed.engine import choose_processes
-
     static = static_candidate(plan, total_steps, batch=batch)
     out: list[TunerCandidate] = [static]
     seen = {static}
@@ -188,12 +180,5 @@ def candidate_space(
 
     # Residency.
     add(replace(static, resident=not static.resident))
-
-    # Process ranks (float64 only; the shared-memory batch is double).
-    if plan.precision == "float64" and cpus > 1:
-        points = int(np.prod(plan.grid_shape)) * max(1, int(batch))
-        ranks = choose_processes(points, plan.segments.num_segments[0], 0)
-        if ranks > 1:
-            add(replace(static, processes=ranks, resident=False))
 
     return out

@@ -1,11 +1,11 @@
 """The online autotuner: telemetry-driven re-planning under live load.
 
 Static heuristics (Eq. (5), :func:`~repro.parallel.sharding.choose_workers`,
-:func:`~repro.distributed.engine.choose_processes`, ...) pick *one* point
-of the joint configuration space from models alone.  They are good seeds
-and poor oracles: the best ``(fusion depth, backend, workers, residency,
-processes, batch)`` combination depends on the live machine — core count,
-co-tenants, memory pressure — in ways no offline model tracks.
+...) pick *one* point of the joint configuration space from models alone.
+They are good seeds and poor oracles: the best ``(fusion depth, backend,
+workers, residency, batch)`` combination depends on the live machine —
+core count, co-tenants, memory pressure — in ways no offline model
+tracks.
 
 :class:`OnlineTuner` closes the loop:
 
@@ -24,7 +24,7 @@ co-tenants, memory pressure — in ways no offline model tracks.
 5. **Persist** — winners land in the
    :class:`~repro.serving.plancache.PlanDiskCache` keyed by a
    :class:`~repro.tuner.signature.WorkloadSignature`, so a fresh process
-   (or a spawned worker) warm-starts the tuned configuration without
+   warm-starts the tuned configuration without
    spending a single trial application.
 
 ``$REPRO_AUTOTUNE`` opts ``plan.run`` / ``run_many`` in fleet-wide; the
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: Environment switch: ``plan.run(..., tune=None)`` consults it, exactly
-#: like ``$REPRO_RESIDENT`` / ``$REPRO_PROCS`` gate their knobs.
+#: like ``$REPRO_RESIDENT`` gates its knob.
 AUTOTUNE_ENV = "REPRO_AUTOTUNE"
 
 
@@ -102,8 +102,8 @@ class TunerPolicy:
     #: winner pays its trial back over the rest of the run.
     max_trial_fraction: float = 0.20
     #: Multiplier on the lcm-of-depths step count each trial side runs
-    #: (raised automatically when a side needs the resident/process path
-    #: engaged, which requires >= 2 full applications).
+    #: (raised automatically when a side needs the resident path engaged,
+    #: which requires >= 2 full applications).
     trial_apps: int = 1
     #: Interleaved rounds per challenger.
     rounds: int = 1
@@ -239,10 +239,9 @@ class OnlineTuner:
     def invalidate(self, sig: WorkloadSignature) -> None:
         """Forget the tuned state for one workload (memory and disk).
 
-        Wired to degradation signals — the serving circuit breaker
-        tripping, a drift-sentinel breach — so the next request under the
-        changed conditions re-tunes instead of replaying a winner measured
-        on a machine that no longer exists.
+        For callers that know conditions changed (a resized machine, a
+        new co-tenant): the next request re-tunes instead of replaying a
+        winner measured on a machine that no longer exists.
         """
         digest = sig.digest()
         with self._lock:
@@ -262,16 +261,16 @@ class OnlineTuner:
         Both sides run the same step count — the least common multiple of
         the two fusion depths — so the paired ratio compares identical
         work and needs no per-step rescaling (which would amplify noise by
-        the depth ratio).  Residency and the process engine only engage
-        with >= 2 full applications (``run`` degrades shorter blocks to
-        the stitched path), so a side probing those dimensions must fit at
-        least two of its applications in the trial.
+        the depth ratio).  Residency only engages with >= 2 full
+        applications (``run`` degrades shorter blocks to the stitched
+        path), so a side probing it must fit at least two of its
+        applications in the trial.
         """
         base = math.lcm(inc.fused_steps, cand.fused_steps)
         steps = base * self.policy.trial_apps
 
         def apps_needed(c: TunerCandidate) -> int:
-            return 2 if (c.resident or c.processes > 1) else 1
+            return 2 if c.resident else 1
 
         while (
             steps // cand.fused_steps < apps_needed(cand)
@@ -313,7 +312,6 @@ class OnlineTuner:
                     steps,
                     workers=None if cand.workers == 0 else cand.workers,
                     resident=cand.resident,
-                    processes=cand.processes,
                     telemetry=NULL_TELEMETRY,
                     tune=False,
                 )
@@ -321,7 +319,6 @@ class OnlineTuner:
                 grid_or_grids,
                 steps,
                 resident=cand.resident,
-                processes=cand.processes,
                 telemetry=NULL_TELEMETRY,
                 tune=False,
             )
@@ -427,7 +424,6 @@ class OnlineTuner:
             total_steps,
             telemetry=telemetry,
             resident=cand.resident,
-            processes=cand.processes,
             tune=False,
         )
 
@@ -471,7 +467,6 @@ class OnlineTuner:
             double_layer=double_layer,
             workers=None if cand.workers == 0 else cand.workers,
             resident=cand.resident,
-            processes=cand.processes,
             telemetry=telemetry,
             tune=False,
         )

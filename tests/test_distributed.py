@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels as kz
+from repro.core.plan import FlashFFTStencil
 from repro.core.reference import run_stencil
 from repro.distributed import (
     NVLINK4,
@@ -166,6 +167,31 @@ class TestDistributedStencil:
         dist = DistributedStencil((90,), kz.star_1d5p(), 2, fused_steps=5)
         got = dist.run(x, 13)  # 2*5 + 3
         np.testing.assert_allclose(got, run_stencil(x, kz.star_1d5p(), 13), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "shape, kernel, ranks, fused, boundary, steps",
+        [
+            ((120,), kz.heat_1d(), 3, 4, "periodic", 14),  # tail of 2
+            ((120,), kz.star_1d5p(), 2, 4, "zero", 12),
+            ((48, 20), kz.box_2d9p(), 3, 3, "periodic", 11),  # tail of 2
+            ((40, 16), kz.heat_2d(), 4, 2, "zero", 7),  # tail of 1
+        ],
+    )
+    def test_bit_identical_to_rank_tiled_plan(
+        self, rng, shape, kernel, ranks, fused, boundary, steps
+    ):
+        x = rng.standard_normal(shape)
+        dist = DistributedStencil(
+            shape, kernel, ranks, fused_steps=fused, boundary=boundary
+        )
+        rank_tile = (-(-shape[0] // ranks),) + shape[1:]
+        want = FlashFFTStencil(
+            shape, kernel, fused_steps=fused, boundary=boundary,
+            tile=rank_tile, workers=1,
+        ).run(x, steps, tune=False)
+        got = dist.run(x, steps)
+        assert np.array_equal(got, want)
+        assert dist.exchanges_performed == -(-steps // fused)
 
     def test_exchange_count(self, rng):
         x = rng.standard_normal(64)

@@ -297,13 +297,10 @@ class TestRunTelemetry:
         plan = FlashFFTStencil(
             (48, 48, 48), kz.heat_3d(), fused_steps=2, tile=(16, 16, 16)
         )
-        # processes=1: the coverage property belongs to the in-process
-        # engine — worker spans deliberately exclude barrier waits, so the
-        # 90% floor does not (and should not) hold under $REPRO_PROCS.
-        plan.run(x, 5, processes=1)  # warm plan + spectrum caches
+        plan.run(x, 5)  # warm plan + spectrum caches
         tel = Telemetry()
         t0 = time.perf_counter()
-        plan.run(x, 5, telemetry=tel, processes=1)
+        plan.run(x, 5, telemetry=tel)
         wall = time.perf_counter() - t0
         covered = sum(tel.stage_seconds().values())
         assert covered <= wall

@@ -255,7 +255,7 @@ class TestShardedEquivalence:
         assert shards == 2
         for resident in (False, True):
             tel = Telemetry()
-            plan.run(g, 6, telemetry=tel, resident=resident, processes=1)
+            plan.run(g, 6, telemetry=tel, resident=resident)
             c = tel.snapshot()["counters"]
             assert c["applications"] == 3
             assert c["fft_batches"] == c["applications"]

@@ -313,17 +313,6 @@ class TestFloat32Exclusions:
                 rng.standard_normal(128).astype(np.float32), emulate_tcu=True
             )
 
-    def test_explicit_multiprocess_is_float64_only(self, rng):
-        # tile=32 -> 4 first-axis tiles, so an explicit processes=2 is not
-        # clamped to serial before the tier check can see it
-        plan = FlashFFTStencil(
-            (128,), kz.heat_1d(), fused_steps=2, tile=32, precision="float32"
-        )
-        with pytest.raises(PlanError, match="float64"):
-            plan.run(
-                rng.standard_normal(128).astype(np.float32), 4, processes=2
-            )
-
 
 # ------------------------------------------------------- routing policy
 

@@ -160,12 +160,12 @@ class TestSpace:
     def test_candidate_json_round_trip(self):
         cand = TunerCandidate(
             fused_steps=8, tile=(64, 64), backend="scipy:2", workers=2,
-            resident=True, processes=2, batch=4,
+            resident=True, batch=4,
         )
         assert TunerCandidate.from_json(cand.to_json()) == cand
 
     def test_label_is_compact(self):
-        cand = TunerCandidate(8, None, "numpy", 0, False, 1)
+        cand = TunerCandidate(8, None, "numpy", 0, False)
         assert cand.label() == "T=8,numpy,w=auto"
 
 
@@ -260,8 +260,7 @@ class TestSearch:
         # The output is the winner's own run, bit-identical.
         target = tuner.plan_for(plan, winner)
         want = target.run(
-            x, steps, resident=winner.resident, processes=winner.processes,
-            tune=False,
+            x, steps, resident=winner.resident, tune=False
         )
         assert np.array_equal(out, want)
 
@@ -363,6 +362,21 @@ class TestPersistence:
         assert cache.info()["entries"] == before
         cache.clear()
         assert cache.info()["tuned_entries"] == 0
+
+    def test_record_with_process_ranks_reads_as_miss(self, rng, tmp_path):
+        # Winners persisted while process ranks were a tuner dimension
+        # carry a 'processes' field; they must re-tune, not raise.
+        plan = small_plan(1 << 14)
+        x = rng.standard_normal(1 << 14)
+        sig = workload_signature(plan, 8 * 64)
+        cache = PlanDiskCache(tmp_path)
+        record = {"kind": "candidate", "processes": 2}
+        record.update(static_candidate(plan, 8 * 64).to_json())
+        cache.put_config(sig.key_string(), record)
+        tuner = OnlineTuner(cache=cache, policy=TunerPolicy(min_points=1))
+        assert tuner._lookup(sig) is None
+        tuner.run(plan, x, 8 * 64)
+        assert tuner.searches == 1 and tuner.cache_hits == 0
 
     def test_fresh_tuner_warm_starts_from_disk(self, rng, tmp_path):
         plan = small_plan(1 << 14)
@@ -479,8 +493,6 @@ class TestTuneConflicts:
         x = rng.standard_normal(1 << 12)
         with pytest.raises(PlanError):
             plan.run(x, 32, tune=True, resident=True)
-        with pytest.raises(PlanError):
-            plan.run(x, 32, tune=True, processes=2)
 
     def test_explicit_tune_rejects_pinned_execution_paths(self, rng):
         plan = small_plan(1 << 12)
